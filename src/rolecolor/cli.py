@@ -145,7 +145,10 @@ def _cmd_solve(args) -> int:
             f"invalid: {bad.describe()}\n",
         )
         return EXIT_NO
-    res = solve_k_role(g, args.k, mode=args.mode, budget=args.budget)
+    try:
+        res = solve_k_role(g, args.k, mode=args.mode, budget=args.budget)
+    except ValueError as e:
+        raise _CliError(str(e))
     _emit(args, _solve_payload(res), _solve_text(res))
     return _result_exit(res)
 
@@ -156,7 +159,10 @@ def _cmd_rrole(args) -> int:
         r = parse_role_graph(_read(args.rolegraph))
     except GraphFormatError as e:
         raise _CliError(f"{args.rolegraph}: {e}")
-    res = solve_r_role(g, r, mode=args.mode, budget=args.budget)
+    try:
+        res = solve_r_role(g, r, mode=args.mode, budget=args.budget)
+    except ValueError as e:
+        raise _CliError(str(e))
     _emit(args, _solve_payload(res), _solve_text(res))
     return _result_exit(res)
 
@@ -270,9 +276,12 @@ def _cmd_hgcolor(args) -> int:
         h = reductions.parse_hypergraph(_read(args.hypergraph))
     except GraphFormatError as e:
         raise _CliError(f"{args.hypergraph}: {e}")
-    res = reductions.hypergraph_k_colorable(
-        h, args.k, mode=args.mode, budget=args.budget, require_surjective=not args.no_surjective
-    )
+    try:
+        res = reductions.hypergraph_k_colorable(
+            h, args.k, mode=args.mode, budget=args.budget, require_surjective=not args.no_surjective
+        )
+    except ValueError as e:
+        raise _CliError(str(e))
     _emit(args, _solve_payload(res), _solve_text(res))
     return _result_exit(res)
 

@@ -249,23 +249,6 @@ def is_chain(g: Graph, bp: Bipartition):
     return True
 
 
-def has_induced_2k2(g: Graph) -> bool:
-    """Exhaustive check over ordered pairs of disjoint edges. Test oracle only."""
-    es = sorted(g.edges)
-    for i, (u, w) in enumerate(es):
-        for v, z in es[i + 1 :]:
-            if len({u, w, v, z}) < 4:
-                continue
-            if (
-                not g.has_edge(u, v)
-                and not g.has_edge(u, z)
-                and not g.has_edge(w, v)
-                and not g.has_edge(w, z)
-            ):
-                return True
-    return False
-
-
 def chain_structure(g: Graph, bp: Bipartition) -> ChainStructure:
     """Universal, pendant and (on the Y side) degree-two vertex sets of a chain graph."""
     nx, ny = len(bp.partX), len(bp.partY)

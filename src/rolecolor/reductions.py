@@ -27,6 +27,7 @@ from .solver import (
     YES,
     BudgetExceeded,
     SolveResult,
+    _check_search_args,
 )
 
 
@@ -267,6 +268,7 @@ def hypergraph_k_colorable(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    _check_search_args(mode, budget, limit)
     nodes = 0
     count = 0
     found = []

@@ -52,130 +52,203 @@ def one_role_decision(g: Graph) -> bool:
     return all(d == 0 for d in degs) or all(d > 0 for d in degs)
 
 
-class _Searcher:
-    """Backtracking over restricted growth strings, vertices in ascending id order.
+class _Engine:
+    """Backtracking over colorings, vertices in ascending id order, on an explicit stack.
 
-    Pruning (all answer-preserving, all removable via `pruning=False`):
-      * surjectivity feasibility: remaining vertices must cover the unused colors;
-      * same-color consistency: once some member of a color class has its whole
-        neighborhood colored, that class's neighborhood color set is locked and
-        every other member must still be able to match it exactly.
+    lock[c] is the neighborhood color set (a bitmask) that every member of
+    class c must see. An R-role search fills it with N_R(c) up front. A k-role
+    search leaves it open (-1) until some member of c has its whole
+    neighborhood colored, and walks restricted growth strings, so color
+    permutations are never enumerated and counts are "up to color permutation".
+
+    cnt[c][u] is the number of u's neighbors colored c. u's neighbor color set
+    nbr_mask[u] changes only when one of those counters moves between 0 and 1,
+    so taking a color back costs O(deg). Locks set lazily go on one trail stack.
+
+    Pruning (answer-preserving; a k-role search drops it with `pruning=False`):
+      * surjectivity: the remaining vertices must cover the unused colors;
+      * lock check: every colored member of a locked class sees only colors in
+        the lock, and its uncolored neighbors can still supply the rest of it.
     """
 
-    def __init__(self, g: Graph, k: int, mode: str, budget: int, pruning: bool, limit: int):
+    def __init__(self, g: Graph, k: int, r: RoleGraph | None, mode: str, budget: int, pruning: bool, limit: int):
+        n = g.n
         self.g = g
         self.k = k
+        self.r = r
         self.mode = mode
         self.budget = budget
         self.pruning = pruning
         self.limit = limit
-        n = g.n
+        self.lock = [-1] * (k + 1)
+        if r is not None:
+            for c in range(1, k + 1):
+                self.lock[c] = sum(1 << d for d in r.neighbors(c))
         self.color = [0] * n
-        self.nbr_mask = [0] * n  # colors already assigned around each vertex
+        self.nbr_mask = [0] * n
         self.rem = [g.degree(v) for v in range(n)]  # uncolored neighbors
-        self.locked = [-1] * (k + 1)
+        self.cnt = [[0] * n for _ in range(k + 1)]
         self.members = [[] for _ in range(k + 1)]
+        self.trail: list[int] = []  # classes locked lazily, newest last
+        self.n_used = 0
         self.nodes = 0
         self.count = 0
         self.found: list[RoleColoring] = []
 
-    def _member_ok(self, u: int) -> bool:
-        lock = self.locked[self.color[u]]
-        mask = self.nbr_mask[u]
-        if mask & ~lock:
-            return False
-        return (lock & ~mask).bit_count() <= self.rem[u]
-
-    def _finalize(self, u: int, new_locks: list) -> bool:
-        """u's neighborhood is now fully colored; lock or match its class set."""
-        c = self.color[u]
-        lock = self.locked[c]
-        if lock != -1:
-            return self.nbr_mask[u] == lock
-        self.locked[c] = self.nbr_mask[u]
-        new_locks.append(c)
-        return all(w == u or self._member_ok(w) for w in self.members[c])
-
-    def _assign(self, v: int, c: int, new_locks: list) -> bool:
-        """Color v with c, push undo info, and run the pruning checks."""
-        self.color[v] = c
-        self.members[c].append(v)
-        bit = 1 << c
-        for u in self.g.adj[v]:
-            self.nbr_mask[u] |= bit
-            self.rem[u] -= 1
-        if not self.pruning:
-            return True
-        if self.rem[v] == 0:
-            if not self._finalize(v, new_locks):
+    def _fits(self, v: int, c: int) -> bool:
+        """Check coloring v with c against the classes that are already locked."""
+        lock, mask, rem = self.lock, self.nbr_mask, self.rem
+        want = lock[c]
+        if want >= 0:
+            seen = mask[v]
+            if seen & ~want or (want & ~seen).bit_count() > rem[v]:
                 return False
-        elif self.locked[c] != -1 and not self._member_ok(v):
+        bit = 1 << c
+        color = self.color
+        for u in self.g.adj[v]:
+            if u < v:
+                want = lock[color[u]]
+                # u gains c and loses an uncolored neighbor
+                if want >= 0 and (not want & bit or (want & ~(mask[u] | bit)).bit_count() >= rem[u]):
+                    return False
+        return True
+
+    def _color(self, v: int, c: int) -> bool:
+        """Color v with c; lock the open classes it closes and check their members."""
+        self.color[v] = c
+        members = self.members[c]
+        if not members:
+            self.n_used += 1
+        members.append(v)
+        bit = 1 << c
+        cnt, mask, rem = self.cnt[c], self.nbr_mask, self.rem
+        for u in self.g.adj[v]:
+            x = cnt[u]
+            cnt[u] = x + 1
+            if not x:
+                mask[u] |= bit
+            rem[u] -= 1
+        if self.r is not None or not self.pruning:
+            return True  # R-role locks are all set up front
+        if not self._close(v):
             return False
         for u in self.g.adj[v]:
-            if u >= v:
-                continue
-            if self.rem[u] == 0:
-                if not self._finalize(u, new_locks):
-                    return False
-            elif self.locked[self.color[u]] != -1 and not self._member_ok(u):
+            if u < v and not self._close(u):
                 return False
         return True
 
-    def _unassign(self, v: int, c: int, new_locks: list):
+    def _close(self, u: int) -> bool:
+        """Lock u's open class once u's neighborhood is colored, and check its members."""
+        lock, mask, rem = self.lock, self.nbr_mask, self.rem
+        c = self.color[u]
+        if rem[u] or lock[c] >= 0:
+            return True  # a locked class was checked before coloring
+        want = lock[c] = mask[u]
+        self.trail.append(c)
+        for w in self.members[c]:
+            seen = mask[w]
+            if seen & ~want or (want & ~seen).bit_count() > rem[w]:
+                return False
+        return True
+
+    def _uncolor(self, v: int, mark: int) -> None:
+        """Take back v's color and every lock set since the trail had length mark."""
+        trail, lock = self.trail, self.lock
+        while len(trail) > mark:
+            lock[trail.pop()] = -1
+        c = self.color[v]
         bit = 1 << c
-        # c may still be visible at u through another colored neighbor
+        cnt, mask, rem = self.cnt[c], self.nbr_mask, self.rem
         for u in self.g.adj[v]:
-            self.rem[u] += 1
-            if not any(w != v and self.color[w] == c for w in self.g.adj[u]):
-                self.nbr_mask[u] &= ~bit
-        for cl in new_locks:
-            self.locked[cl] = -1
-        self.members[c].pop()
+            x = cnt[u] - 1
+            cnt[u] = x
+            if not x:
+                mask[u] &= ~bit
+            rem[u] += 1
+        members = self.members[c]
+        members.pop()
+        if not members:
+            self.n_used -= 1
         self.color[v] = 0
+
+    def _leaf(self) -> bool:
+        """Re-check a full coloring against the definition; True stops the search."""
+        cert = RoleColoring(tuple(self.color), self.k)
+        # the pruning rules should only ever let valid leaves through
+        if self.r is None:
+            bad = verify_k_role(self.g, cert)
+        else:
+            bad = verify_r_role(self.g, self.r, cert)
+        if bad is not None:
+            return False
+        if self.mode == COUNT:
+            self.count += 1
+            return False
+        self.found.append(cert)
+        return self.mode != ENUMERATE or len(self.found) >= self.limit
 
     def run(self) -> str:
         n, k = self.g.n, self.k
         if k > n:
             return NO
-        try:
-            done = self._dfs(0, 0)
-        except BudgetExceeded:
-            return BUDGET_EXCEEDED
+        top = [0] * (n + 1)  # highest color to try at each level; 0 at a dead end
+        mark = [0] * n  # trail length before each level's coloring
+        v = c = 0
+        fresh = True
+        while True:
+            if fresh:
+                fresh = False
+                c = 0
+                if v == n:
+                    if self.n_used == k and self._leaf():
+                        break
+                elif self.pruning and k - self.n_used > n - v:
+                    top[v] = 0
+                else:
+                    top[v] = min(self.n_used + 1, k) if self.r is None else k
+            while c < top[v]:
+                c += 1
+                self.nodes += 1
+                if self.nodes > self.budget:
+                    return BUDGET_EXCEEDED
+                if self.pruning and not self._fits(v, c):
+                    continue
+                mark[v] = len(self.trail)
+                if self._color(v, c):
+                    v += 1
+                    fresh = True
+                    break
+                self._uncolor(v, mark[v])
+            else:
+                if v == 0:
+                    break
+                v -= 1
+                c = self.color[v]
+                self._uncolor(v, mark[v])
         if self.mode == COUNT:
-            return YES if self.count > 0 else NO
-        if self.mode == ENUMERATE:
-            return YES if self.found else NO
-        return YES if done else NO
+            return YES if self.count else NO
+        return YES if self.found else NO
 
-    def _dfs(self, v: int, used: int) -> bool:
-        n, k = self.g.n, self.k
-        if v == n:
-            if used != k:
-                return False
-            cert = RoleColoring(tuple(self.color), k)
-            # the pruning rules should only ever let valid leaves through
-            if verify_k_role(self.g, cert) is not None:
-                return False
-            if self.mode == COUNT:
-                self.count += 1
-                return False
-            self.found.append(cert)
-            if self.mode == ENUMERATE:
-                return len(self.found) >= self.limit
-            return True
-        if self.pruning and used + (n - v) < k:
-            return False
-        top = min(used + 1, k)
-        for c in range(1, top + 1):
-            self.nodes += 1
-            if self.nodes > self.budget:
-                raise BudgetExceeded()
-            new_locks: list = []
-            if self._assign(v, c, new_locks) and self._dfs(v + 1, max(used, c)):
-                self._unassign(v, c, new_locks)
-                return True
-            self._unassign(v, c, new_locks)
-        return False
+
+def _check_search_args(mode: str, budget: int, limit: int = 1) -> None:
+    """ValueError unless mode is known, budget >= 0 and (in enumerate mode) limit >= 1."""
+    if mode not in (DECISION, WITNESS, COUNT, ENUMERATE):
+        raise ValueError(f"unknown mode {mode!r}")
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
+    if mode == ENUMERATE and limit < 1:
+        raise ValueError("enumerate limit must be >= 1")
+
+
+def _solve(s: _Engine, cert_modes: tuple) -> SolveResult:
+    status = s.run()
+    return SolveResult(
+        status=status,
+        certificate=s.found[0] if (s.mode in cert_modes and s.found) else None,
+        count=s.count if s.mode == COUNT else None,
+        nodes=s.nodes,
+        certificates=tuple(s.found) if s.mode == ENUMERATE else (),
+    )
 
 
 def solve_k_role(
@@ -193,158 +266,8 @@ def solve_k_role(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if mode not in (DECISION, WITNESS, COUNT, ENUMERATE):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == ENUMERATE and limit < 1:
-        raise ValueError("enumerate limit must be >= 1")
-    s = _Searcher(g, k, mode, budget, pruning, limit)
-    status = s.run()
-    return SolveResult(
-        status=status,
-        certificate=s.found[0] if (mode == WITNESS and s.found) else None,
-        count=s.count if mode == COUNT else None,
-        nodes=s.nodes,
-        certificates=tuple(s.found) if mode == ENUMERATE else (),
-    )
-
-
-def naive_k_role_partitions(g: Graph, k: int):
-    """Plain restricted-growth enumeration with a leaf check and no pruning.
-
-    Kept as the spelled-out baseline for the pruning-neutrality tests.
-    """
-    n = g.n
-    if k > n:
-        return
-    rgs = [0] * n
-
-    def rec(v, used):
-        if v == n:
-            if used == k:
-                cert = RoleColoring(tuple(rgs), k)
-                if verify_k_role(g, cert) is None:
-                    yield cert
-            return
-        for c in range(1, min(used + 1, k) + 1):
-            rgs[v] = c
-            yield from rec(v + 1, max(used, c))
-        rgs[v] = 0
-
-    yield from rec(0, 0)
-
-
-class _RSearcher:
-    """Backtracking assignment of role-graph colors to vertices, ids ascending."""
-
-    def __init__(self, g: Graph, r: RoleGraph, mode, budget, limit):
-        self.g = g
-        self.r = r
-        self.mode = mode
-        self.budget = budget
-        self.limit = limit
-        n = g.n
-        self.color = [0] * n
-        self.nbr_mask = [0] * n
-        self.rem = [g.degree(v) for v in range(n)]
-        self.role_mask = [0] * (r.colors + 1)
-        self.role_deg = [0] * (r.colors + 1)
-        for c in range(1, r.colors + 1):
-            for d in r.neighbors(c):
-                self.role_mask[c] |= 1 << d
-            self.role_deg[c] = r.degree(c)
-        self.used = [0] * (r.colors + 1)
-        self.n_used = 0
-        self.nodes = 0
-        self.count = 0
-        self.found: list[RoleColoring] = []
-
-    def _feasible(self, v: int, c: int) -> bool:
-        # degree bound, then: seen neighbor colors must sit inside N_R(c) and the
-        # missing ones must still be coverable by uncolored neighbors
-        if self.g.degree(v) < self.role_deg[c]:
-            return False
-        mask = self.nbr_mask[v]
-        want = self.role_mask[c]
-        if mask & ~want:
-            return False
-        if (want & ~mask).bit_count() > self.rem[v]:
-            return False
-        bit = 1 << c
-        for u in self.g.adj[v]:
-            if u < v and not (self.role_mask[self.color[u]] & bit):
-                return False
-        return True
-
-    def run(self) -> str:
-        if self.r.colors > self.g.n or self.r.colors == 0:
-            return NO
-        try:
-            done = self._dfs(0)
-        except BudgetExceeded:
-            return BUDGET_EXCEEDED
-        if self.mode == COUNT:
-            return YES if self.count > 0 else NO
-        if self.mode == ENUMERATE:
-            return YES if self.found else NO
-        return YES if done else NO
-
-    def _dfs(self, v: int) -> bool:
-        n = self.g.n
-        if v == n:
-            if self.n_used != self.r.colors:
-                return False
-            cert = RoleColoring(tuple(self.color), self.r.colors)
-            if verify_r_role(self.g, self.r, cert) is not None:
-                return False
-            if self.mode == COUNT:
-                self.count += 1
-                return False
-            self.found.append(cert)
-            if self.mode == ENUMERATE:
-                return len(self.found) >= self.limit
-            return True
-        if (self.r.colors - self.n_used) > (n - v):
-            return False
-        for c in range(1, self.r.colors + 1):
-            self.nodes += 1
-            if self.nodes > self.budget:
-                raise BudgetExceeded()
-            if not self._feasible(v, c):
-                continue
-            self.color[v] = c
-            self.used[c] += 1
-            if self.used[c] == 1:
-                self.n_used += 1
-            bit = 1 << c
-            changed = []
-            for u in self.g.adj[v]:
-                self.rem[u] -= 1
-                if not (self.nbr_mask[u] & bit):
-                    self.nbr_mask[u] |= bit
-                    changed.append(u)
-            bad = False
-            for u in self.g.adj[v]:
-                if u < v and self.rem[u] == 0 and self.nbr_mask[u] != self.role_mask[self.color[u]]:
-                    bad = True
-                    break
-            if not bad and self.rem[v] == 0 and self.nbr_mask[v] != self.role_mask[c]:
-                bad = True
-            if not bad and self._dfs(v + 1):
-                self._undo(v, c, changed)
-                return True
-            self._undo(v, c, changed)
-        return False
-
-    def _undo(self, v, c, changed):
-        bit = 1 << c
-        for u in self.g.adj[v]:
-            self.rem[u] += 1
-        for u in changed:
-            self.nbr_mask[u] &= ~bit
-        self.used[c] -= 1
-        if self.used[c] == 0:
-            self.n_used -= 1
-        self.color[v] = 0
+    _check_search_args(mode, budget, limit)
+    return _solve(_Engine(g, k, None, mode, budget, pruning, limit), (WITNESS,))
 
 
 def solve_r_role(
@@ -360,15 +283,5 @@ def solve_r_role(
     """
     if r.colors < 1:
         raise ValueError("role graph must have at least one color")
-    if mode not in (DECISION, WITNESS, COUNT, ENUMERATE):
-        raise ValueError(f"unknown mode {mode!r}")
-    s = _RSearcher(g, r, mode, budget, limit)
-    status = s.run()
-    cert = s.found[0] if s.found else None
-    return SolveResult(
-        status=status,
-        certificate=cert if mode in (WITNESS, DECISION) else None,
-        count=s.count if mode == COUNT else None,
-        nodes=s.nodes,
-        certificates=tuple(s.found) if mode == ENUMERATE else (),
-    )
+    _check_search_args(mode, budget, limit)
+    return _solve(_Engine(g, r.colors, r, mode, budget, True, limit), (WITNESS, DECISION))

@@ -11,7 +11,7 @@ from itertools import product
 
 import numpy as np
 
-from rolecolor import Graph, RoleColoring, RoleGraph
+from rolecolor import Graph, RoleColoring, RoleGraph, verify_k_role
 
 
 @lru_cache(maxsize=None)
@@ -67,6 +67,31 @@ def naive_r_role(g: Graph, r: RoleGraph) -> tuple[bool, int]:
     return cnt > 0, cnt
 
 
+def naive_k_role_partitions(g: Graph, k: int):
+    """Plain restricted-growth enumeration with a leaf check and no pruning.
+
+    Kept as the spelled-out baseline for the pruning-neutrality tests.
+    """
+    n = g.n
+    if k > n:
+        return
+    rgs = [0] * n
+
+    def rec(v, used):
+        if v == n:
+            if used == k:
+                cert = RoleColoring(tuple(rgs), k)
+                if verify_k_role(g, cert) is None:
+                    yield cert
+            return
+        for c in range(1, min(used + 1, k) + 1):
+            rgs[v] = c
+            yield from rec(v + 1, max(used, c))
+        rgs[v] = 0
+
+    yield from rec(0, 0)
+
+
 def naive_hypergraph_colorable(edges, n: int, k: int, surjective: bool = True) -> bool:
     for assign in product(range(1, k + 1), repeat=n):
         if surjective and len(set(assign)) != k:
@@ -78,3 +103,20 @@ def naive_hypergraph_colorable(edges, n: int, k: int, surjective: bool = True) -
 
 def identity_coloring(g: Graph) -> RoleColoring:
     return RoleColoring(tuple(range(1, g.n + 1)), g.n)
+
+
+def has_induced_2k2(g: Graph) -> bool:
+    """Exhaustive check over ordered pairs of disjoint edges."""
+    es = sorted(g.edges)
+    for i, (u, w) in enumerate(es):
+        for v, z in es[i + 1 :]:
+            if len({u, w, v, z}) < 4:
+                continue
+            if (
+                not g.has_edge(u, v)
+                and not g.has_edge(u, z)
+                and not g.has_edge(w, v)
+                and not g.has_edge(w, z)
+            ):
+                return True
+    return False

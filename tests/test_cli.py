@@ -30,6 +30,7 @@ def files(tmp_path):
         "bad": put("bad.col", "1 1 1 2\n"),
         "r0": put("r0.role", RoleGraph(2, [(1, 1), (1, 2)]).to_text()),
         "edge": put("edge.role", RoleGraph(2, [(1, 2)]).to_text()),
+        "empty": put("empty.role", "0 0\n"),
         "hg1": put("one.hg", Hypergraph(3, [{0, 1, 2}]).to_text()),
         "dir": str(tmp_path),
     }
@@ -96,6 +97,15 @@ class TestSolve:
             b = run(["verify", files["c4"], files[col], "-k", "2"])
             capsys.readouterr()
             assert a == b
+
+    def test_deep_path(self, files, tmp_path, capsys):
+        # deeper than the interpreter's recursion limit
+        p = tmp_path / "path.graph"
+        p.write_text(Graph(1500, [(i, i + 1) for i in range(1499)]).to_text())
+        code, payload = run_json(capsys, ["solve", str(p), "-k", "2", "--budget", "100000"])
+        assert code == 0 and payload["answer"] == "yes"
+        code, payload = run_json(capsys, ["rrole", str(p), files["edge"], "--budget", "100000"])
+        assert code == 0 and payload["answer"] == "yes"
 
     def test_deterministic_json(self, files, capsys):
         run(["--json", "solve", files["c4"], "-k", "2"])
@@ -196,6 +206,22 @@ class TestUsage:
 
     def test_bad_threads(self, files, capsys):
         assert run(["--threads", "0", "solve", files["c4"], "-k", "2"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "c4", "-k", "0"],
+            ["rrole", "c4", "empty"],
+            ["solve", "c4", "-k", "2", "--budget", "-1"],
+            ["rrole", "c4", "edge", "--budget", "-1"],
+            ["hgcolor", "hg1", "-k", "2", "--budget", "-1"],
+            ["hgcolor", "hg1", "-k", "0"],
+        ],
+    )
+    def test_solver_argument_errors(self, files, capsys, argv):
+        assert run([files.get(a, a) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_parse_error_has_prefix(self, tmp_path, capsys):
         p = tmp_path / "bad.graph"

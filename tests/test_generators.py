@@ -9,7 +9,7 @@ from rolecolor.generators import (
     random_connected_bipartite,
     random_connected_hypergraph,
 )
-from rolecolor.graph import has_induced_2k2
+from naive import has_induced_2k2
 
 
 class TestChainGeneration:

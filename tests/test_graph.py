@@ -12,7 +12,8 @@ from rolecolor import (
     parse_graph,
 )
 from rolecolor.generators import random_chain_graph, random_graph
-from rolecolor.graph import connected_components, has_induced_2k2
+from rolecolor.graph import connected_components
+from naive import has_induced_2k2
 
 
 class TestGraphBasics:

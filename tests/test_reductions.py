@@ -78,6 +78,10 @@ class TestHypergraphColoring:
     def test_k1_with_edges_is_no(self):
         assert not hypergraph_k_colorable(single_edge_hg(), 1).answer
 
+    def test_negative_budget_is_refused(self):
+        with pytest.raises(ValueError):
+            hypergraph_k_colorable(single_edge_hg(), 2, budget=-1)
+
     def test_surjectivity_flag(self):
         # 4 vertices, one edge: 4-colorable only without the surjectivity demand
         # if fewer colors suffice... here surjective 4-coloring exists, so use a

@@ -12,9 +12,9 @@ from rolecolor import (
     verify_k_role,
     verify_r_role,
 )
+from rolecolor import solver
 from rolecolor.generators import random_graph
-from rolecolor.solver import naive_k_role_partitions
-from naive import naive_k_role, naive_r_role
+from naive import naive_k_role, naive_k_role_partitions, naive_r_role
 
 
 class TestOneRole:
@@ -80,6 +80,17 @@ class TestSolveKRole:
         with pytest.raises(ValueError):
             solve_k_role(p4, 2, mode="nope")
 
+    def test_negative_budget_is_refused(self, p4):
+        with pytest.raises(ValueError):
+            solve_k_role(p4, 2, budget=-1)
+
+    def test_deep_path_witness(self):
+        # deeper than the interpreter's recursion limit
+        g = Graph(1500, [(i, i + 1) for i in range(1499)])
+        res = solve_k_role(g, 2, mode="witness", budget=10**5)
+        assert res.status == "yes"
+        assert verify_k_role(g, res.certificate) is None
+
 
 class TestPruningNeutrality:
     def test_pruned_equals_unpruned(self):
@@ -99,6 +110,33 @@ class TestPruningNeutrality:
             k = rng.randint(1, g.n)
             baseline = sum(1 for _ in naive_k_role_partitions(g, k))
             assert solve_k_role(g, k, mode="count").count == baseline
+
+
+class TestLeafCheck:
+    def test_pruning_lets_no_invalid_leaf_through(self, monkeypatch):
+        # the leaf re-check is looked up in the solver module at call time
+        rejected = []
+
+        def spy(verify):
+            def check(*args):
+                bad = verify(*args)
+                rejected.append(bad is not None)
+                return bad
+
+            return check
+
+        monkeypatch.setattr(solver, "verify_k_role", spy(verify_k_role))
+        monkeypatch.setattr(solver, "verify_r_role", spy(verify_r_role))
+        rng = random.Random(59)
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(1, 7))
+            k = rng.randint(1, g.n)
+            r = RoleGraph(2, [(1, 2)] + [(1, 1)] * rng.randint(0, 1))
+            for search in (lambda: solve_k_role(g, k, mode="count"), lambda: solve_r_role(g, r, mode="count")):
+                rejected.clear()
+                res = search()
+                assert not any(rejected)
+                assert len(rejected) == res.count
 
 
 class TestSolverVsOracle:
@@ -128,6 +166,19 @@ class TestSolveRRole:
 
     def test_more_colors_than_vertices_is_no(self, p4):
         assert not solve_r_role(p4, RoleGraph(5, [(1, 2)])).answer
+
+    def test_invalid_args(self, p4):
+        with pytest.raises(ValueError):
+            solve_r_role(p4, RoleGraph(0))
+        with pytest.raises(ValueError):
+            solve_r_role(p4, RoleGraph(2, [(1, 2)]), budget=-1)
+
+    def test_deep_path(self):
+        g = Graph(1500, [(i, i + 1) for i in range(1499)])
+        r = RoleGraph(2, [(1, 2)])
+        res = solve_r_role(g, r, budget=10**5)
+        assert res.status == "yes"
+        assert verify_r_role(g, r, res.certificate) is None
 
     def test_matches_oracle(self):
         rng = random.Random(41)

@@ -60,13 +60,6 @@ class ChainDecision:
     used_fallback: bool = False
 
 
-def _oriented(g: Graph, bp: Bipartition):
-    """Both orientations of the bipartition, smaller side first."""
-    x, y = bp.partX, bp.partY
-    yield Bipartition(x, y)
-    yield Bipartition(y, x)
-
-
 def decide_chain3(g: Graph) -> ChainDecision:
     """Theorem-style 3-role decision for a bipartite chain graph."""
     bp = bipartition(g)
@@ -244,44 +237,3 @@ def _color_pendants_one_side(g: Graph, other_part, universal) -> RoleColoring:
     for y in other_part:
         colors[y] = 1
     return RoleColoring(tuple(colors), 3)
-
-
-def is_p4(g: Graph) -> bool:
-    if g.n != 4 or g.m != 3 or not is_connected(g):
-        return False
-    return sorted(g.degree(v) for v in range(4)) == [1, 1, 2, 2]
-
-
-@dataclass(frozen=True)
-class RefutationEntry:
-    coloring: RoleColoring
-    violation: object
-
-
-def p4_no_certificate(g: Graph) -> tuple:
-    """Exhaustive refutation that a P4 is not 3-role colorable.
-
-    Enumerates all 6 canonical 3-partitions of the four vertices and records
-    the definition violation for each.
-    """
-    if not is_p4(g):
-        raise ValueError("graph is not isomorphic to a P4")
-    entries = []
-    # walk the restricted-growth strings and keep the failures
-    rgs = [0] * 4
-
-    def rec(v, used):
-        if v == 4:
-            if used == 3:
-                c = RoleColoring(tuple(rgs), 3)
-                bad = verify_k_role(g, c)
-                assert bad is not None, "P4 must not admit a 3-role coloring"
-                entries.append(RefutationEntry(c, bad))
-            return
-        for col in range(1, min(used + 1, 3) + 1):
-            rgs[v] = col
-            rec(v + 1, max(used, col))
-
-    rec(0, 0)
-    assert len(entries) == 6  # S(4,3)
-    return tuple(entries)

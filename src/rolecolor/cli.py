@@ -46,6 +46,8 @@ def _read(path: str) -> str:
             return f.read()
     except OSError as e:
         raise _CliError(str(e))
+    except UnicodeDecodeError as e:
+        raise _CliError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})")
 
 
 def _load_graph(path: str):
@@ -253,8 +255,11 @@ def _cmd_reduce(args) -> int:
         raise _CliError(str(e))
     text = gg.to_text()
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as f:
-            f.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as f:
+                f.write(text)
+        except OSError as e:
+            raise _CliError(str(e))
         text = f"wrote {gg.graph.n} vertices, {gg.graph.m} edges to {args.output}\n"
     payload = {
         "answer": "ok",
@@ -289,8 +294,6 @@ def _cmd_hgcolor(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="rolecolor", description=__doc__)
     ap.add_argument("--json", action="store_true", help="emit a single JSON object")
-    ap.add_argument("--threads", type=int, default=1, metavar="N", help="worker threads (reserved; search is deterministic and identical for any N)")
-    ap.add_argument("--seed", type=int, default=0, metavar="S", help="seed for randomized subcommands (reserved)")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("verify", help="check a k-role coloring")
@@ -352,9 +355,6 @@ def run(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return EXIT_ERROR if e.code not in (0, None) else 0
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return EXIT_ERROR
     try:
         return args.func(args)
     except _CliError as e:

@@ -26,20 +26,18 @@ class Graph:
     def __init__(self, n: int, edges=()):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        norm = set()
+        adj = [set() for _ in range(n)]
+        norm = []
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range [0,{n})")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            e = (u, v) if u < v else (v, u)
-            if e in norm:
+            if v in adj[u]:
                 raise ValueError(f"duplicate edge ({u},{v})")
-            norm.add(e)
-        adj = [set() for _ in range(n)]
-        for u, v in norm:
             adj[u].add(v)
             adj[v].add(u)
+            norm.append((u, v) if u < v else (v, u))
         self.n = n
         self.edges = frozenset(norm)
         self.adj = tuple(frozenset(a) for a in adj)
@@ -108,52 +106,62 @@ class ChainStructure:
     degreeTwoY: frozenset = field(default_factory=frozenset)
 
 
-def _strip_comments(text: str):
-    """Yield (lineno, tokens) for every non-comment, non-blank line."""
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield i, line.split()
+def _read_records(text: str, build, record=tuple, header: bool = True):
+    """Read the layout that every file format shares; return what `build` makes of it.
+
+    Blank lines and lines whose first non-blank character is `#` are skipped.
+    Every other line is a record of whitespace-separated integers, which
+    `record` turns into an item.
+    With `header`, the first record is "a m", two non-negative integers, exactly
+    m records follow, and the result is build(a, items); otherwise it is
+    build(items). Items are fed lazily, so a ValueError from `record` or
+    `build` is raised as a GraphFormatError at the line of the record it
+    rejected.
+    """
+    line = None  # line number of the latest record
+    found = 0
+
+    def rows():
+        nonlocal line, found
+        for i, raw in enumerate(text.splitlines(), start=1):
+            toks = raw.split()
+            if toks and toks[0][0] != "#":
+                line = i
+                found += 1
+                try:
+                    vals = [int(t) for t in toks]
+                except ValueError:
+                    raise ValueError("expected integers") from None
+                yield vals
+
+    it = rows()
+    try:
+        if not header:
+            return build(map(record, it))
+        head = next(it, None)
+        if head is None:
+            raise ValueError("missing header line")
+        if len(head) != 2 or min(head) < 0:
+            raise ValueError("header must be two non-negative integers")
+        found = 0  # count only the records after the header
+        result = build(head[0], map(record, it))
+    except ValueError as e:
+        raise GraphFormatError(str(e), line) from None
+    if found != head[1]:
+        raise GraphFormatError(f"declared {head[1]} records but found {found}")
+    return result
+
+
+def _edge_record(vals: list) -> list:
+    """An edge line holds exactly two integers."""
+    if len(vals) != 2:
+        raise ValueError("edge line must be two integers")
+    return vals
 
 
 def parse_graph(text: str) -> Graph:
     """Parse the "n m" edge-list format. Repeated or reversed duplicate edges are errors."""
-    it = _strip_comments(text)
-    try:
-        lineno, header = next(it)
-    except StopIteration:
-        raise GraphFormatError("missing header line")
-    if len(header) != 2:
-        raise GraphFormatError("header must be 'n m'", lineno)
-    try:
-        n, m = int(header[0]), int(header[1])
-    except ValueError:
-        raise GraphFormatError("header must contain two integers", lineno)
-    if n < 0 or m < 0:
-        raise GraphFormatError("n and m must be non-negative", lineno)
-
-    edges = []
-    seen = set()
-    for lineno, toks in it:
-        if len(toks) != 2:
-            raise GraphFormatError("edge line must be 'u v'", lineno)
-        try:
-            u, v = int(toks[0]), int(toks[1])
-        except ValueError:
-            raise GraphFormatError("edge endpoints must be integers", lineno)
-        if not (0 <= u < n) or not (0 <= v < n):
-            raise GraphFormatError(f"vertex out of range [0,{n})", lineno)
-        if u == v:
-            raise GraphFormatError(f"self-loop at vertex {u}", lineno)
-        e = (u, v) if u < v else (v, u)
-        if e in seen:
-            raise GraphFormatError(f"duplicate edge ({u},{v})", lineno)
-        seen.add(e)
-        edges.append(e)
-    if len(edges) != m:
-        raise GraphFormatError(f"declared {m} edges but found {len(edges)}")
-    return Graph(n, edges)
+    return _read_records(text, Graph, _edge_record)
 
 
 def is_connected(g: Graph) -> bool:

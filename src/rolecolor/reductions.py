@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .graph import Graph, GraphFormatError, _strip_comments, bipartition, is_connected
+from .graph import Graph, _read_records, bipartition, is_connected
 from .roles import RoleColoring, verify_k_role
 from .solver import (
     BUDGET_EXCEEDED,
@@ -94,36 +94,19 @@ class Hypergraph:
         return "\n".join(lines) + "\n"
 
 
+def _hyperedge(vals: list) -> list:
+    """A hyperedge line is "t v1 ... vt": t distinct vertices."""
+    t, vs = vals[0], vals[1:]
+    if len(vs) != t:
+        raise ValueError("hyperedge line must be 't v1 ... vt'")
+    if len(set(vs)) != t:
+        raise ValueError("repeated vertex in hyperedge")
+    return vs
+
+
 def parse_hypergraph(text: str) -> Hypergraph:
     """Parse "n m" then m lines "t v1 ... vt"."""
-    it = _strip_comments(text)
-    try:
-        lineno, header = next(it)
-    except StopIteration:
-        raise GraphFormatError("missing header line")
-    if len(header) != 2:
-        raise GraphFormatError("header must be 'n m'", lineno)
-    try:
-        n, m = int(header[0]), int(header[1])
-    except ValueError:
-        raise GraphFormatError("header must contain two integers", lineno)
-    edges = []
-    for lineno, toks in it:
-        try:
-            vals = [int(t) for t in toks]
-        except ValueError:
-            raise GraphFormatError("hyperedge line must be integers", lineno)
-        if not vals or len(vals) != vals[0] + 1:
-            raise GraphFormatError("hyperedge line must be 't v1 ... vt'", lineno)
-        t, vs = vals[0], vals[1:]
-        if len(set(vs)) != t:
-            raise GraphFormatError("repeated vertex in hyperedge", lineno)
-        if any(not (0 <= v < n) for v in vs):
-            raise GraphFormatError(f"vertex out of range [0,{n})", lineno)
-        edges.append(frozenset(vs))
-    if len(edges) != m:
-        raise GraphFormatError(f"declared {m} hyperedges but found {len(edges)}")
-    return Hypergraph(n, edges)
+    return _read_records(text, Hypergraph, _hyperedge)
 
 
 # vertex tags: ("Q", i), ("S", j), ("Bq", i), ("Aq", i), ("PendantS", j),
@@ -400,7 +383,3 @@ def extract_beta(gg: GadgetGraph, alpha: RoleColoring):
             return RoleColoring(tuple(beta), 3)
         return CannotExtract(f"Q uses {len(q_colors)} colors, expected 2 or 3")
     raise ValueError(f"no extraction for gadget kind {gg.kind!r}")
-
-
-def is_non_monochromatic(h: Hypergraph, beta: RoleColoring) -> bool:
-    return all(len({beta.assignment[q] for q in e}) > 1 for e in h.edges)

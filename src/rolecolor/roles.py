@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, GraphFormatError, _strip_comments, is_connected
+from .graph import Graph, _edge_record, _read_records, is_connected
 
 
 @dataclass(frozen=True)
@@ -191,19 +191,16 @@ def parse_coloring(text: str, k: int | None = None) -> RoleColoring:
 
     When k is omitted it defaults to the largest color present.
     """
-    rows = list(_strip_comments(text))
-    if not rows:
-        raise GraphFormatError("missing coloring line")
-    if len(rows) > 1:
-        raise GraphFormatError("coloring must be a single line", rows[1][0])
-    lineno, toks = rows[0]
-    try:
-        colors = tuple(int(t) for t in toks)
-    except ValueError:
-        raise GraphFormatError("colors must be integers", lineno)
-    if k is None:
-        k = max(colors, default=1)
-    return RoleColoring(colors, k)
+
+    def build(rows):
+        colors = next(rows, None)
+        if colors is None:
+            raise ValueError("missing coloring line")
+        if next(rows, None) is not None:
+            raise ValueError("coloring must be a single line")
+        return RoleColoring(colors, max(colors) if k is None else k)
+
+    return _read_records(text, build, header=False)
 
 
 def emit_coloring(c: RoleColoring) -> str:
@@ -211,29 +208,19 @@ def emit_coloring(c: RoleColoring) -> str:
 
 
 def parse_role_graph(text: str) -> RoleGraph:
-    """Parse a role graph: same format as graphs, but 1-based and loops allowed."""
-    it = _strip_comments(text)
-    try:
-        lineno, header = next(it)
-    except StopIteration:
-        raise GraphFormatError("missing header line")
-    if len(header) != 2:
-        raise GraphFormatError("header must be 'k m'", lineno)
-    try:
-        k, m = int(header[0]), int(header[1])
-    except ValueError:
-        raise GraphFormatError("header must contain two integers", lineno)
-    edges = []
-    for lineno, toks in it:
-        if len(toks) != 2:
-            raise GraphFormatError("edge line must be 'a b'", lineno)
-        try:
-            a, b = int(toks[0]), int(toks[1])
-        except ValueError:
-            raise GraphFormatError("edge endpoints must be integers", lineno)
-        if not (1 <= a <= k and 1 <= b <= k):
-            raise GraphFormatError(f"color out of range [1,{k}]", lineno)
-        edges.append((a, b))
-    if len(edges) != m:
-        raise GraphFormatError(f"declared {m} edges but found {len(edges)}")
-    return RoleGraph(k, edges)
+    """Parse a role graph: the graph format, but 1-based and loops allowed.
+
+    A repeated or reversed edge is an error here, although RoleGraph itself
+    merges duplicates (extract_role_graph relies on that).
+    """
+    seen = set()
+
+    def record(vals):
+        a, b = _edge_record(vals)
+        e = (a, b) if a <= b else (b, a)
+        if e in seen:
+            raise ValueError(f"duplicate edge ({a},{b})")
+        seen.add(e)
+        return e
+
+    return _read_records(text, RoleGraph, record)

@@ -8,10 +8,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
-from rolecolor import Graph, RoleColoring, RoleGraph, verify_k_role
+from rolecolor import Graph, Hypergraph, RoleColoring, RoleGraph, is_connected, verify_k_role
 
 
 @lru_cache(maxsize=None)
@@ -120,3 +121,47 @@ def has_induced_2k2(g: Graph) -> bool:
             ):
                 return True
     return False
+
+
+def is_non_monochromatic(h: Hypergraph, beta: RoleColoring) -> bool:
+    return all(len({beta.assignment[q] for q in e}) > 1 for e in h.edges)
+
+
+def is_p4(g: Graph) -> bool:
+    if g.n != 4 or g.m != 3 or not is_connected(g):
+        return False
+    return sorted(g.degree(v) for v in range(4)) == [1, 1, 2, 2]
+
+
+class RefutationEntry(NamedTuple):
+    coloring: RoleColoring
+    violation: object
+
+
+def p4_no_certificate(g: Graph) -> tuple:
+    """Exhaustive refutation that a P4 is not 3-role colorable.
+
+    Enumerates all 6 canonical 3-partitions of the four vertices and records
+    the definition violation for each.
+    """
+    if not is_p4(g):
+        raise ValueError("graph is not isomorphic to a P4")
+    entries = []
+    # walk the restricted-growth strings and keep the failures
+    rgs = [0] * 4
+
+    def rec(v, used):
+        if v == 4:
+            if used == 3:
+                c = RoleColoring(tuple(rgs), 3)
+                bad = verify_k_role(g, c)
+                assert bad is not None, "P4 must not admit a 3-role coloring"
+                entries.append(RefutationEntry(c, bad))
+            return
+        for col in range(1, min(used + 1, 3) + 1):
+            rgs[v] = col
+            rec(v + 1, max(used, col))
+
+    rec(0, 0)
+    assert len(entries) == 6  # S(4,3)
+    return tuple(entries)

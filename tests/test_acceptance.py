@@ -34,10 +34,9 @@ from rolecolor.generators import (
     random_connected_bipartite,
     random_connected_hypergraph,
 )
-from rolecolor.reductions import is_non_monochromatic
 
 from conftest import assert_observations, atlas_graphs
-from naive import identity_coloring, naive_k_role
+from naive import identity_coloring, is_non_monochromatic, naive_k_role
 
 
 def sample_hypergraph(rng, max_q, max_s):

@@ -7,7 +7,6 @@ from rolecolor import (
     NotBipartiteError,
     NotChainError,
     decide_chain3,
-    p4_no_certificate,
     solve_k_role,
     verify_k_role,
 )
@@ -18,13 +17,13 @@ from rolecolor.chain3 import (
     SINGLETON_SIDE,
     TWO_SIDE_WITH_TAIL,
     TWO_UNIVERSAL,
-    is_p4,
 )
 from rolecolor.generators import (
     connected_chain_graphs,
     random_chain_graph,
 )
 from conftest import assert_observations
+from naive import is_p4, p4_no_certificate
 
 
 def complete_bipartite(p, q):

@@ -190,6 +190,11 @@ class TestReduce:
         assert code == 0
         assert payload["gadget"]["kind"] == "k4" and payload["gadget"]["n"] == 5
 
+    def test_unwritable_output_is_usage_error(self, files, capsys):
+        assert run(["reduce", "k3", files["hg1"], "-o", files["dir"] + "/missing/x"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestHgcolor:
     def test_single_edge(self, files, capsys):
@@ -222,6 +227,29 @@ class TestUsage:
         assert run([files.get(a, a) for a in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "cmd, text",
+        [
+            ("rrole", "-1 0\n"),
+            ("rrole", "2 2\n1 2\n2 1\n"),
+            ("hgcolor", "-2 0\n"),
+            ("hgcolor", "1 1\n0\n"),
+        ],
+    )
+    def test_malformed_file_is_usage_error(self, files, tmp_path, capsys, cmd, text):
+        p = tmp_path / "bad.txt"
+        p.write_text(text)
+        argv = ["rrole", files["c4"], str(p)] if cmd == "rrole" else ["hgcolor", str(p), "-k", "2"]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {p}: line ") and "Traceback" not in err
+
+    def test_non_utf8_file_is_usage_error(self, tmp_path, capsys):
+        p = tmp_path / "bin.graph"
+        p.write_bytes(b"\xff\xfe 1\n")
+        assert run(["recognize", str(p)]) == 2
+        assert capsys.readouterr().err == f"error: {p}: not UTF-8 text (invalid start byte at byte 0)\n"
 
     def test_parse_error_has_prefix(self, tmp_path, capsys):
         p = tmp_path / "bad.graph"

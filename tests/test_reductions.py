@@ -22,8 +22,7 @@ from rolecolor import (
     verify_k_role,
 )
 from rolecolor.generators import fano_plane, random_connected_hypergraph
-from rolecolor.reductions import is_non_monochromatic
-from naive import naive_hypergraph_colorable
+from naive import is_non_monochromatic, naive_hypergraph_colorable
 
 
 def single_edge_hg():

@@ -338,11 +338,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="write the gadget here instead of stdout")
     p.set_defaults(func=_cmd_reduce)
 
-    p = sub.add_parser("hgcolor", help="hypergraph k-coloring by brute force")
+    p = sub.add_parser("hgcolor", help="hypergraph k-coloring by backtracking")
     p.add_argument("hypergraph")
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--mode", choices=["decision", "witness", "count"], default="witness")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="most candidate colors to try")
     p.add_argument("--no-surjective", action="store_true", help="drop the every-color-used requirement")
     p.set_defaults(func=_cmd_hgcolor)
 

@@ -106,6 +106,9 @@ class ChainStructure:
     degreeTwoY: frozenset = field(default_factory=frozenset)
 
 
+MAX_HEADER_COUNT = 10**6  # largest vertex or color count a file may declare
+
+
 def _read_records(text: str, build, record=tuple, header: bool = True):
     """Read the layout that every file format shares; return what `build` makes of it.
 
@@ -113,7 +116,8 @@ def _read_records(text: str, build, record=tuple, header: bool = True):
     Every other line is a record of whitespace-separated integers, which
     `record` turns into an item.
     With `header`, the first record is "a m", two non-negative integers, exactly
-    m records follow, and the result is build(a, items); otherwise it is
+    m records follow, and the result is build(a, items); a above MAX_HEADER_COUNT
+    is refused before anything is built. Otherwise the result is
     build(items). Items are fed lazily, so a ValueError from `record` or
     `build` is raised as a GraphFormatError at the line of the record it
     rejected.
@@ -143,6 +147,8 @@ def _read_records(text: str, build, record=tuple, header: bool = True):
             raise ValueError("missing header line")
         if len(head) != 2 or min(head) < 0:
             raise ValueError("header must be two non-negative integers")
+        if head[0] > MAX_HEADER_COUNT:
+            raise ValueError(f"header count {head[0]} is above the limit {MAX_HEADER_COUNT}")
         found = 0  # count only the records after the header
         result = build(head[0], map(record, it))
     except ValueError as e:

@@ -12,7 +12,7 @@ and a triangle to a bipartite graph to trade one role-graph instance for a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from math import perm
 
 from .graph import Graph, _read_records, bipartition, is_connected
 from .roles import RoleColoring, verify_k_role
@@ -243,39 +243,82 @@ def hypergraph_k_colorable(
     require_surjective: bool = True,
     limit: int = 1,
 ) -> SolveResult:
-    """Brute-force hypergraph coloring: no hyperedge monochromatic.
+    """Backtracking hypergraph coloring: no hyperedge monochromatic.
 
     By default every color must also be used at least once (the reductions rely
     on surjective colorings); pass require_surjective=False for the textbook
     definition.
+
+    Vertices take colors in ascending id order, colors in ascending order, on an
+    explicit stack; a hyperedge is checked when its highest vertex is colored.
+    Valid colorings are closed under color permutation, so decision, witness
+    and count modes walk restricted growth strings only: the lexicographically
+    smallest coloring is one of them, and a valid partition into j blocks
+    stands for k!/(k-j)! colorings in the count. Enumerate mode walks all k
+    colors, in lexicographic order. `nodes` counts candidate colors, and the
+    budget bounds it.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     _check_search_args(mode, budget, limit)
-    nodes = 0
-    count = 0
+    n = h.n
+    if require_surjective and k > n:
+        return SolveResult(status=NO, count=0 if mode == COUNT else None)
+    closing = [[] for _ in range(n)]  # the other vertices of each hyperedge whose highest vertex is v
+    for e in h.edges:
+        last = max(e)
+        closing[last].append(tuple(q for q in e if q != last))
+    rgs = mode != ENUMERATE
+    color = [0] * n
+    used = [0] * (n + 1)  # number of distinct colors before each level
+    top = [0] * (n + 1)  # highest color to try at each level; 0 at a dead end and at the leaf
+    nodes = count = 0
     found = []
-    for assignment in product(range(1, k + 1), repeat=h.n):
-        nodes += 1
-        if nodes > budget:
-            return SolveResult(status=BUDGET_EXCEEDED, nodes=nodes)
-        if require_surjective and len(set(assignment)) != k:
-            continue
-        if any(len({assignment[q] for q in e}) == 1 for e in h.edges):
-            continue
-        beta = RoleColoring(assignment, k)
-        if mode == COUNT:
-            count += 1
-            continue
-        found.append(beta)
-        if mode != ENUMERATE or len(found) >= limit:
-            break
+    v = c = 0
+    fresh = True
+    while True:
+        if fresh:
+            fresh = False
+            c = 0
+            if v == n:
+                j = used[n]
+                if not require_surjective or j == k:
+                    if mode == COUNT:
+                        count += perm(k, j)
+                    else:
+                        found.append(RoleColoring(tuple(color), k))
+                        if mode != ENUMERATE or len(found) >= limit:
+                            break
+            elif require_surjective and k - used[v] > n - v:
+                top[v] = 0
+            else:
+                top[v] = min(used[v] + 1, k) if rgs else k
+        while c < top[v]:
+            c += 1
+            nodes += 1
+            if nodes > budget:
+                return SolveResult(status=BUDGET_EXCEEDED, nodes=nodes)
+            for rest in closing[v]:
+                if all(color[q] == c for q in rest):
+                    break  # c would make this hyperedge monochromatic
+            else:
+                color[v] = c
+                if rgs:
+                    used[v + 1] = max(used[v], c)
+                else:
+                    used[v + 1] = used[v] + (c not in color[:v])
+                v += 1
+                fresh = True
+                break
+        else:
+            if v == 0:
+                break
+            v -= 1
+            c = color[v]
     if mode == COUNT:
-        status = YES if count else NO
-        return SolveResult(status=status, count=count, nodes=nodes)
-    status = YES if found else NO
+        return SolveResult(status=YES if count else NO, count=count, nodes=nodes)
     return SolveResult(
-        status=status,
+        status=YES if found else NO,
         certificate=found[0] if (found and mode in (WITNESS, DECISION)) else None,
         nodes=nodes,
         certificates=tuple(found) if mode == ENUMERATE else (),

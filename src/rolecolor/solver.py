@@ -68,7 +68,10 @@ class _Engine:
     Pruning (answer-preserving; a k-role search drops it with `pruning=False`):
       * surjectivity: the remaining vertices must cover the unused colors;
       * lock check: every colored member of a locked class sees only colors in
-        the lock, and its uncolored neighbors can still supply the rest of it.
+        the lock, and its uncolored neighbors can still supply the rest of it;
+      * look-ahead (R-role only): every uncolored neighbor u of the vertex just
+        colored can still take some color d, that is, lock[d] holds the colors
+        u already sees and u's uncolored neighbors can supply the rest of it.
     """
 
     def __init__(self, g: Graph, k: int, r: RoleGraph | None, mode: str, budget: int, pruning: bool, limit: int):
@@ -90,6 +93,9 @@ class _Engine:
         self.cnt = [[0] * n for _ in range(k + 1)]
         self.members = [[] for _ in range(k + 1)]
         self.trail: list[int] = []  # classes locked lazily, newest last
+        if r is not None:  # for the look-ahead
+            self.later = [[u for u in g.adj[v] if u > v] for v in range(n)]
+            self.need: dict[int, float] = {}  # memoised per seen-color mask
         self.n_used = 0
         self.nodes = 0
         self.count = 0
@@ -128,14 +134,41 @@ class _Engine:
             if not x:
                 mask[u] |= bit
             rem[u] -= 1
-        if self.r is not None or not self.pruning:
-            return True  # R-role locks are all set up front
+        if self.r is not None:
+            return self._ahead(v)  # R-role locks are all set up front: nothing to close
+        if not self.pruning:
+            return True
         if not self._close(v):
             return False
         for u in self.g.adj[v]:
             if u < v and not self._close(u):
                 return False
         return True
+
+    def _ahead(self, v: int) -> bool:
+        """R-role: check that each uncolored neighbor of v can still take some color."""
+        mask, rem, need = self.nbr_mask, self.rem, self.need
+        for u in self.later[v]:
+            seen = mask[u]
+            x = need.get(seen)
+            if x is None:
+                x = need[seen] = self._need(seen)
+            if x > rem[u]:
+                return False
+        return True
+
+    def _need(self, seen: int) -> float:
+        """Fewest new colors a vertex that sees `seen` must still see, over the colors
+        d it can take; infinite if there is none.
+
+        d is possible when lock[d] holds seen. R is undirected, so this also puts d
+        in the lock of every color in seen.
+        """
+        lock = self.lock
+        return min(
+            ((lock[d] & ~seen).bit_count() for d in range(1, self.k + 1) if not seen & ~lock[d]),
+            default=float("inf"),
+        )
 
     def _close(self, u: int) -> bool:
         """Lock u's open class once u's neighborhood is colored, and check its members."""
@@ -189,8 +222,6 @@ class _Engine:
 
     def run(self) -> str:
         n, k = self.g.n, self.k
-        if k > n:
-            return NO
         top = [0] * (n + 1)  # highest color to try at each level; 0 at a dead end
         mark = [0] * n  # trail length before each level's coloring
         v = c = 0
@@ -240,7 +271,13 @@ def _check_search_args(mode: str, budget: int, limit: int = 1) -> None:
         raise ValueError("enumerate limit must be >= 1")
 
 
-def _solve(s: _Engine, cert_modes: tuple) -> SolveResult:
+def _solve(
+    g: Graph, k: int, r: RoleGraph | None, mode: str, budget: int, pruning: bool, limit: int,
+    cert_modes: tuple,
+) -> SolveResult:
+    if k > g.n:  # k colors need k vertices; answer before any per-color state is built
+        return SolveResult(status=NO, count=0 if mode == COUNT else None)
+    s = _Engine(g, k, r, mode, budget, pruning, limit)
     status = s.run()
     return SolveResult(
         status=status,
@@ -267,7 +304,7 @@ def solve_k_role(
     if k < 1:
         raise ValueError("k must be >= 1")
     _check_search_args(mode, budget, limit)
-    return _solve(_Engine(g, k, None, mode, budget, pruning, limit), (WITNESS,))
+    return _solve(g, k, None, mode, budget, pruning, limit, (WITNESS,))
 
 
 def solve_r_role(
@@ -284,4 +321,4 @@ def solve_r_role(
     if r.colors < 1:
         raise ValueError("role graph must have at least one color")
     _check_search_args(mode, budget, limit)
-    return _solve(_Engine(g, r.colors, r, mode, budget, True, limit), (WITNESS, DECISION))
+    return _solve(g, r.colors, r, mode, budget, True, limit, (WITNESS, DECISION))

@@ -13,6 +13,18 @@ from typing import NamedTuple
 import numpy as np
 
 from rolecolor import Graph, Hypergraph, RoleColoring, RoleGraph, is_connected, verify_k_role
+from rolecolor.solver import (
+    BUDGET_EXCEEDED,
+    COUNT,
+    DECISION,
+    DEFAULT_BUDGET,
+    ENUMERATE,
+    NO,
+    WITNESS,
+    YES,
+    SolveResult,
+    _check_search_args,
+)
 
 
 @lru_cache(maxsize=None)
@@ -54,9 +66,13 @@ def naive_k_role(g: Graph, k: int) -> tuple[bool, int]:
     return cnt > 0, cnt
 
 
-def naive_r_role(g: Graph, r: RoleGraph) -> tuple[bool, int]:
-    """Brute force over all |V(R)|^n maps; pure Python, small n only."""
+def naive_r_role(g: Graph, r: RoleGraph) -> tuple[bool, int, tuple | None]:
+    """Brute force over all |V(R)|^n maps; pure Python, small n only.
+
+    Returns (answer, number of valid maps, lexicographically first valid map).
+    """
     cnt = 0
+    first = None
     for assign in product(range(1, r.colors + 1), repeat=g.n):
         if len(set(assign)) != r.colors:
             continue
@@ -65,7 +81,9 @@ def naive_r_role(g: Graph, r: RoleGraph) -> tuple[bool, int]:
             for v in range(g.n)
         ):
             cnt += 1
-    return cnt > 0, cnt
+            if first is None:
+                first = assign
+    return cnt > 0, cnt, first
 
 
 def naive_k_role_partitions(g: Graph, k: int):
@@ -100,6 +118,55 @@ def naive_hypergraph_colorable(edges, n: int, k: int, surjective: bool = True) -
         if all(len({assign[q] for q in e}) > 1 for e in edges):
             return True
     return False
+
+
+def naive_hypergraph_k_colorable(
+    h: Hypergraph,
+    k: int,
+    mode: str = DECISION,
+    budget: int = DEFAULT_BUDGET,
+    require_surjective: bool = True,
+    limit: int = 1,
+) -> SolveResult:
+    """The product scan over all k^n assignments that `hypergraph_k_colorable` replaced.
+
+    Same arguments and results, except that `nodes` counts complete assignments.
+
+    By default every color must also be used at least once (the reductions rely
+    on surjective colorings); pass require_surjective=False for the textbook
+    definition.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    _check_search_args(mode, budget, limit)
+    nodes = 0
+    count = 0
+    found = []
+    for assignment in product(range(1, k + 1), repeat=h.n):
+        nodes += 1
+        if nodes > budget:
+            return SolveResult(status=BUDGET_EXCEEDED, nodes=nodes)
+        if require_surjective and len(set(assignment)) != k:
+            continue
+        if any(len({assignment[q] for q in e}) == 1 for e in h.edges):
+            continue
+        beta = RoleColoring(assignment, k)
+        if mode == COUNT:
+            count += 1
+            continue
+        found.append(beta)
+        if mode != ENUMERATE or len(found) >= limit:
+            break
+    if mode == COUNT:
+        status = YES if count else NO
+        return SolveResult(status=status, count=count, nodes=nodes)
+    status = YES if found else NO
+    return SolveResult(
+        status=status,
+        certificate=found[0] if (found and mode in (WITNESS, DECISION)) else None,
+        nodes=nodes,
+        certificates=tuple(found) if mode == ENUMERATE else (),
+    )
 
 
 def identity_coloring(g: Graph) -> RoleColoring:

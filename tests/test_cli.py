@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import jsonschema
@@ -74,6 +75,12 @@ class TestRolegraph:
 class TestSolve:
     def test_p4_k3_no(self, files, capsys):
         code, payload = run_json(capsys, ["solve", files["p4"], "-k", "3"])
+        assert code == 1 and payload["answer"] == "no"
+
+    def test_huge_k_is_no_at_once(self, files, capsys):
+        start = time.perf_counter()
+        code, payload = run_json(capsys, ["solve", files["c4"], "-k", str(10**9)])
+        assert time.perf_counter() - start < 1.0
         assert code == 1 and payload["answer"] == "no"
 
     def test_c4_k2_witness(self, files, capsys):
@@ -204,6 +211,12 @@ class TestHgcolor:
     def test_k1_no(self, files, capsys):
         assert run(["hgcolor", files["hg1"], "-k", "1"]) == 1
 
+    def test_huge_k_is_no_at_once(self, files, capsys):
+        start = time.perf_counter()
+        code, payload = run_json(capsys, ["hgcolor", files["hg1"], "-k", str(10**6)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and payload["stats"]["nodes"] == 0
+
 
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
@@ -235,12 +248,19 @@ class TestUsage:
             ("rrole", "2 2\n1 2\n2 1\n"),
             ("hgcolor", "-2 0\n"),
             ("hgcolor", "1 1\n0\n"),
+            ("recognize", "1000001 0\n"),
+            ("rrole", "1000001 0\n"),
+            ("hgcolor", "1000001 0\n"),
         ],
     )
     def test_malformed_file_is_usage_error(self, files, tmp_path, capsys, cmd, text):
         p = tmp_path / "bad.txt"
         p.write_text(text)
-        argv = ["rrole", files["c4"], str(p)] if cmd == "rrole" else ["hgcolor", str(p), "-k", "2"]
+        argv = {
+            "recognize": ["recognize", str(p)],
+            "rrole": ["rrole", files["c4"], str(p)],
+            "hgcolor": ["hgcolor", str(p), "-k", "2"],
+        }[cmd]
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {p}: line ") and "Traceback" not in err

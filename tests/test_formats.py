@@ -61,6 +61,9 @@ REJECTED = [
     ("hypergraph", "3 1\n2 0 3\n", "out of range", 2),
     ("hypergraph", "3 1\n2 0 a\n", "integers", 2),
     ("hypergraph", "3 2\n2 0 1\n", "declared 2", None),
+    ("graph", "1000001 0\n", "above the limit", 1),
+    ("role", "1000001 0\n", "above the limit", 1),
+    ("hypergraph", "1000001 0\n", "above the limit", 1),
     ("coloring", "", "missing coloring line", None),
     ("coloring", "1 2\n2 1\n", "single line", 2),
     ("coloring", "1 a 2\n", "integers", 1),
@@ -83,6 +86,11 @@ def test_rejected(fmt, text, fragment, line):
     assert str(err.value).startswith(f"line {line}: " if line else fragment)
 
 
+def test_header_count_limit_is_inclusive():
+    # a hypergraph allocates nothing per vertex, so the limit itself is cheap to read
+    assert parse_hypergraph("1000000 0\n").n == 10**6
+
+
 @pytest.mark.parametrize(
     "fmt, plain",
     [
@@ -98,8 +106,8 @@ def test_comments_and_blank_lines_are_skipped(fmt, plain):
     assert show(PARSERS[fmt](text)) == show(PARSERS[fmt](plain))
 
 
-# Counts and ids stay small: a header such as "1000000000 0" is valid and
-# would allocate that many adjacency sets. Small ids are drawn most often, so
+# Counts and ids stay small: a header such as "1000000 0" is valid and
+# allocates that many adjacency sets. Small ids are drawn most often, so
 # that many texts get past the header and reach the record checks.
 SMALL = st.integers(-1, 4).map(str)
 TOKEN = st.one_of(

@@ -22,7 +22,7 @@ from rolecolor import (
     verify_k_role,
 )
 from rolecolor.generators import fano_plane, random_connected_hypergraph
-from naive import is_non_monochromatic, naive_hypergraph_colorable
+from naive import is_non_monochromatic, naive_hypergraph_colorable, naive_hypergraph_k_colorable
 
 
 def single_edge_hg():
@@ -98,6 +98,58 @@ class TestHypergraphColoring:
             for k in (2, 3):
                 want = naive_hypergraph_colorable(h.edges, h.n, k)
                 assert hypergraph_k_colorable(h, k).answer == want
+
+
+def _hg_result(res):
+    cert = res.certificate and res.certificate.assignment
+    return res.status, cert, res.count, [c.assignment for c in res.certificates]
+
+
+class TestHypergraphSearchVsProductScan:
+    """The backtracking search against the plain product scan over all k^n maps."""
+
+    CASES = [
+        Hypergraph(0, []),
+        Hypergraph(1, []),
+        Hypergraph(2, [{1}]),
+        Hypergraph(4, [{0, 1, 2}, {3}]),
+        Hypergraph(3, [{0, 1}, {1, 2}, {0, 2}]),
+        Hypergraph(5, [{0, 1, 2}, {2, 3, 4}, {0, 4}]),
+    ]
+
+    @staticmethod
+    def random_cases(rng, count):
+        for _ in range(count):
+            n = rng.randint(0, 7)
+            sizes = [min(n, rng.choice((1, 2, 3, 3, 3, 4))) for _ in range(rng.randint(0, 6) if n else 0)]
+            yield Hypergraph(n, [rng.sample(range(n), t) for t in sizes])
+
+    MODES = [("decision", 1), ("witness", 1), ("count", 1), ("enumerate", 10**6), ("enumerate", 3)]
+
+    def test_all_modes_match(self):
+        for h in [*self.CASES, *self.random_cases(random.Random(11), 20)]:
+            for k in range(1, 5):  # k > n on the small cases
+                for surjective in (True, False):
+                    for mode, limit in self.MODES:
+                        got, want = (
+                            _hg_result(f(h, k, mode=mode, require_surjective=surjective, limit=limit))
+                            for f in (hypergraph_k_colorable, naive_hypergraph_k_colorable)
+                        )
+                        assert got == want, (h.n, h.edges, k, surjective, mode, limit)
+
+    def test_budget_counts_candidate_colors(self):
+        # one hyperedge on three vertices, k = 2: 1, 1, then 1 is rejected at vertex 2
+        res = hypergraph_k_colorable(single_edge_hg(), 2, mode="witness")
+        assert res.nodes == 4
+        assert hypergraph_k_colorable(single_edge_hg(), 2, budget=3).status == "budget-exceeded"
+
+    def test_huge_k(self):
+        k = 10**6
+        res = hypergraph_k_colorable(single_edge_hg(), k, mode="count")
+        assert (res.status, res.count, res.nodes) == ("no", 0, 0)
+        # without surjectivity: every map but the k monochromatic ones, from a few nodes
+        res = hypergraph_k_colorable(single_edge_hg(), k, mode="count", require_surjective=False)
+        assert res.count == k**3 - k and res.nodes < 10
 
 
 class TestGadgetShapes:

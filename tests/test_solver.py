@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -83,6 +84,15 @@ class TestSolveKRole:
     def test_negative_budget_is_refused(self, p4):
         with pytest.raises(ValueError):
             solve_k_role(p4, 2, budget=-1)
+
+    def test_huge_k_is_no_at_once(self, c4):
+        # k colors need k vertices; the answer comes before any per-color state is built
+        for mode in ("decision", "witness", "count", "enumerate"):
+            start = time.perf_counter()
+            res = solve_k_role(c4, 10**9, mode=mode)
+            assert time.perf_counter() - start < 1.0
+            assert (res.status, res.nodes, res.certificate) == ("no", 0, None)
+            assert res.count == (0 if mode == "count" else None)
 
     def test_deep_path_witness(self):
         # deeper than the interpreter's recursion limit
@@ -192,7 +202,41 @@ class TestSolveRRole:
                 if rng.random() < 0.5
             ]
             r = RoleGraph(colors, redges)
-            want, want_count = naive_r_role(g, r)
+            want, want_count, _ = naive_r_role(g, r)
             res = solve_r_role(g, r, mode="count")
             assert res.answer == want
             assert res.count == want_count
+
+    def test_witness_is_lexicographically_first(self):
+        rng = random.Random(43)
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(1, 7))
+            colors = rng.randint(1, 4)
+            redges = [
+                (a, b)
+                for a in range(1, colors + 1)
+                for b in range(a, colors + 1)
+                if rng.random() < 0.5
+            ]
+            r = RoleGraph(colors, redges)
+            want, _, first = naive_r_role(g, r)
+            res = solve_r_role(g, r, mode="witness")
+            assert res.answer == want
+            assert (res.certificate and res.certificate.assignment) == (first if want else None)
+
+    def test_look_ahead_prunes_no_instance(self, c4):
+        # a "no" onto C4: the parent engine, without look-ahead, took 95,572 nodes
+        rng = random.Random(3)
+        g = Graph(30, [(u, v) for u in range(30) for v in range(u + 1, 30) if rng.random() < 0.2])
+        r = RoleGraph(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
+        res = solve_r_role(g, r, budget=10**6)
+        assert res.status == "no"
+        assert res.nodes < 5000
+
+    def test_many_colors_onto_cycle(self):
+        # the look-ahead memoises per mask seen, never one entry per subset of 40 colors
+        g = Graph(40, [(i, (i + 1) % 40) for i in range(40)])
+        r = RoleGraph(40, [(c, c % 40 + 1) for c in range(1, 41)])
+        res = solve_r_role(g, r, mode="witness", budget=10**4)
+        assert res.status == "yes"
+        assert verify_r_role(g, r, res.certificate) is None

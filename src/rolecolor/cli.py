@@ -113,7 +113,7 @@ def _result_exit(res) -> int:
 
 
 def _solve_payload(res) -> dict:
-    payload = {"answer": res.status, "stats": {"nodes": res.nodes}}
+    payload = {"answer": res.status, "stats": {"nodes": res.nodes, "order": res.order}}
     if res.certificate is not None:
         payload["certificate"] = list(res.certificate.assignment)
     if res.count is not None:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, _edge_record, _read_records, is_connected
+from .graph import MAX_HEADER_COUNT, Graph, _edge_record, _read_records, is_connected
 
 
 @dataclass(frozen=True)
@@ -189,7 +189,8 @@ def check_role_connectivity(g: Graph, c: RoleColoring, r: RoleGraph) -> bool:
 def parse_coloring(text: str, k: int | None = None) -> RoleColoring:
     """Parse the coloring format: one line of space-separated colors.
 
-    When k is omitted it defaults to the largest color present.
+    When k is omitted it defaults to the largest color present. A k or a color
+    above MAX_HEADER_COUNT is refused, since checks allocate per color.
     """
 
     def build(rows):
@@ -198,7 +199,10 @@ def parse_coloring(text: str, k: int | None = None) -> RoleColoring:
             raise ValueError("missing coloring line")
         if next(rows, None) is not None:
             raise ValueError("coloring must be a single line")
-        return RoleColoring(colors, max(colors) if k is None else k)
+        top = max(colors) if k is None else k
+        if top > MAX_HEADER_COUNT:
+            raise ValueError(f"color range 1..{top} is above the limit {MAX_HEADER_COUNT}")
+        return RoleColoring(colors, top)
 
     return _read_records(text, build, header=False)
 

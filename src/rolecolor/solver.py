@@ -8,6 +8,7 @@ against the definition before it is reported.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .graph import Graph
@@ -36,6 +37,7 @@ class SolveResult:
     count: int | None = None
     nodes: int = 0
     certificates: tuple = ()  # enumerate mode only
+    order: str = "id"  # vertex order of the search: "id" or "closing"
 
     @property
     def answer(self) -> bool:
@@ -52,8 +54,42 @@ def one_role_decision(g: Graph) -> bool:
     return all(d == 0 for d in degs) or all(d > 0 for d in degs)
 
 
+def _closing_order(g: Graph) -> list[int]:
+    """A vertex order that closes neighborhoods early.
+
+    Start at the lowest-id vertex of minimum degree, then always take the vertex
+    with the most placed neighbors; ties go to the fewest unplaced neighbors,
+    then the lowest id. The start rule is that same key with nothing placed, so
+    a new component starts the same way. A vertex's key only improves as its
+    neighbors are placed, so a lazy heap skips stale entries: O((n+m) log n).
+    """
+    n = g.n
+    placed = [0] * n  # placed neighbors; -1 once the vertex itself is placed
+    degree = [len(a) for a in g.adj]
+    heap = [(0, degree[v], v) for v in range(n)]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        p, _, v = heapq.heappop(heap)
+        if placed[v] != -p:
+            continue  # stale: v is placed, or has gained placed neighbors since
+        placed[v] = -1
+        order.append(v)
+        for u in g.adj[v]:
+            x = placed[u]
+            if x >= 0:
+                placed[u] = x + 1
+                heapq.heappush(heap, (-x - 1, degree[u] - x - 1, u))
+    return order
+
+
 class _Engine:
-    """Backtracking over colorings, vertices in ascending id order, on an explicit stack.
+    """Backtracking over colorings in a given vertex order, on an explicit stack.
+
+    The engine renames vertex order[i] to i and keeps its own adjacency lists in
+    those ids: adj (all neighbors), earlier (placed before the vertex) and, for
+    R-role, later. Restricted growth, witnesses and enumeration follow the
+    search order; a leaf is mapped back to the original ids before its check.
 
     lock[c] is the neighborhood color set (a bitmask) that every member of
     class c must see. An R-role search fills it with N_R(c) up front. A k-role
@@ -74,7 +110,10 @@ class _Engine:
         u already sees and u's uncolored neighbors can supply the rest of it.
     """
 
-    def __init__(self, g: Graph, k: int, r: RoleGraph | None, mode: str, budget: int, pruning: bool, limit: int):
+    def __init__(
+        self, g: Graph, k: int, r: RoleGraph | None, mode: str, budget: int, pruning: bool, limit: int,
+        order: list[int],
+    ):
         n = g.n
         self.g = g
         self.k = k
@@ -83,18 +122,23 @@ class _Engine:
         self.budget = budget
         self.pruning = pruning
         self.limit = limit
+        self.pos = pos = [0] * n  # search-order id of each vertex
+        for i, v in enumerate(order):
+            pos[v] = i
+        self.adj = adj = [[pos[u] for u in g.adj[v]] for v in order]
+        self.earlier = [[u for u in a if u < i] for i, a in enumerate(adj)]
         self.lock = [-1] * (k + 1)
         if r is not None:
             for c in range(1, k + 1):
                 self.lock[c] = sum(1 << d for d in r.neighbors(c))
         self.color = [0] * n
         self.nbr_mask = [0] * n
-        self.rem = [g.degree(v) for v in range(n)]  # uncolored neighbors
+        self.rem = [len(a) for a in adj]  # uncolored neighbors
         self.cnt = [[0] * n for _ in range(k + 1)]
         self.members = [[] for _ in range(k + 1)]
         self.trail: list[int] = []  # classes locked lazily, newest last
         if r is not None:  # for the look-ahead
-            self.later = [[u for u in g.adj[v] if u > v] for v in range(n)]
+            self.later = [[u for u in a if u > i] for i, a in enumerate(adj)]
             self.need: dict[int, float] = {}  # memoised per seen-color mask
         self.n_used = 0
         self.nodes = 0
@@ -111,12 +155,11 @@ class _Engine:
                 return False
         bit = 1 << c
         color = self.color
-        for u in self.g.adj[v]:
-            if u < v:
-                want = lock[color[u]]
-                # u gains c and loses an uncolored neighbor
-                if want >= 0 and (not want & bit or (want & ~(mask[u] | bit)).bit_count() >= rem[u]):
-                    return False
+        for u in self.earlier[v]:
+            want = lock[color[u]]
+            # u gains c and loses an uncolored neighbor
+            if want >= 0 and (not want & bit or (want & ~(mask[u] | bit)).bit_count() >= rem[u]):
+                return False
         return True
 
     def _color(self, v: int, c: int) -> bool:
@@ -128,7 +171,7 @@ class _Engine:
         members.append(v)
         bit = 1 << c
         cnt, mask, rem = self.cnt[c], self.nbr_mask, self.rem
-        for u in self.g.adj[v]:
+        for u in self.adj[v]:
             x = cnt[u]
             cnt[u] = x + 1
             if not x:
@@ -138,10 +181,13 @@ class _Engine:
             return self._ahead(v)  # R-role locks are all set up front: nothing to close
         if not self.pruning:
             return True
-        if not self._close(v):
+        # a locked class was checked before coloring; an open one locks once a
+        # member's neighborhood is colored
+        lock, color = self.lock, self.color
+        if not rem[v] and lock[c] < 0 and not self._close(v):
             return False
-        for u in self.g.adj[v]:
-            if u < v and not self._close(u):
+        for u in self.earlier[v]:
+            if not rem[u] and lock[color[u]] < 0 and not self._close(u):
                 return False
         return True
 
@@ -171,11 +217,10 @@ class _Engine:
         )
 
     def _close(self, u: int) -> bool:
-        """Lock u's open class once u's neighborhood is colored, and check its members."""
+        """Lock u's open class to u's neighbor color set, once u's neighborhood is
+        colored, and check the class's members against it."""
         lock, mask, rem = self.lock, self.nbr_mask, self.rem
         c = self.color[u]
-        if rem[u] or lock[c] >= 0:
-            return True  # a locked class was checked before coloring
         want = lock[c] = mask[u]
         self.trail.append(c)
         for w in self.members[c]:
@@ -192,7 +237,7 @@ class _Engine:
         c = self.color[v]
         bit = 1 << c
         cnt, mask, rem = self.cnt[c], self.nbr_mask, self.rem
-        for u in self.g.adj[v]:
+        for u in self.adj[v]:
             x = cnt[u] - 1
             cnt[u] = x
             if not x:
@@ -206,7 +251,7 @@ class _Engine:
 
     def _leaf(self) -> bool:
         """Re-check a full coloring against the definition; True stops the search."""
-        cert = RoleColoring(tuple(self.color), self.k)
+        cert = RoleColoring(tuple(map(self.color.__getitem__, self.pos)), self.k)
         # the pruning rules should only ever let valid leaves through
         if self.r is None:
             bad = verify_k_role(self.g, cert)
@@ -275,9 +320,15 @@ def _solve(
     g: Graph, k: int, r: RoleGraph | None, mode: str, budget: int, pruning: bool, limit: int,
     cert_modes: tuple,
 ) -> SolveResult:
+    # k-role decision and R-role count return no certificate, so the closing
+    # order changes only their node counts; the other modes walk vertices by
+    # id, so witnesses and enumerate lists keep their documented order
+    closing = mode == (DECISION if r is None else COUNT)
+    name = "closing" if closing else "id"
     if k > g.n:  # k colors need k vertices; answer before any per-color state is built
-        return SolveResult(status=NO, count=0 if mode == COUNT else None)
-    s = _Engine(g, k, r, mode, budget, pruning, limit)
+        return SolveResult(status=NO, count=0 if mode == COUNT else None, order=name)
+    order = _closing_order(g) if closing else list(range(g.n))
+    s = _Engine(g, k, r, mode, budget, pruning, limit, order)
     status = s.run()
     return SolveResult(
         status=status,
@@ -285,6 +336,7 @@ def _solve(
         count=s.count if s.mode == COUNT else None,
         nodes=s.nodes,
         certificates=tuple(s.found) if s.mode == ENUMERATE else (),
+        order=name,
     )
 
 

@@ -111,6 +111,24 @@ def naive_k_role_partitions(g: Graph, k: int):
     yield from rec(0, 0)
 
 
+def naive_closing_order(g: Graph) -> list:
+    """The closing vertex order by a plain O(n^2) scan: each step takes the
+    unplaced vertex with the most placed neighbors, then the fewest unplaced
+    neighbors, then the lowest id."""
+    placed: set = set()
+    order = []
+
+    def key(v):
+        p = len(g.adj[v] & placed)
+        return (-p, g.degree(v) - p, v)
+
+    while len(order) < g.n:
+        v = min((v for v in range(g.n) if v not in placed), key=key)
+        placed.add(v)
+        order.append(v)
+    return order
+
+
 def naive_hypergraph_colorable(edges, n: int, k: int, surjective: bool = True) -> bool:
     for assign in product(range(1, k + 1), repeat=n):
         if surjective and len(set(assign)) != k:

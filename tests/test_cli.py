@@ -72,6 +72,30 @@ class TestRolegraph:
         assert payload["rolegraph"] == {"colors": 2, "edges": [[1, 2]]}
 
 
+class TestColorLimit:
+    # checks allocate per color, so a k or a color above 10**6 is refused at once
+    def test_k_at_the_limit_is_checked(self, files, capsys):
+        code, payload = run_json(capsys, ["verify", files["c4"], files["good"], "-k", str(10**6)])
+        assert code == 1 and payload["violation"]["kind"] == "NotSurjective"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "c4", "good", "-k", str(10**6 + 1)],
+            ["solve", "c4", "-k", str(10**6 + 1), "--check-certificate", "good"],
+            ["rolegraph", "c4", "huge"],
+        ],
+    )
+    def test_above_the_limit_is_usage_error(self, files, tmp_path, capsys, argv):
+        files["huge"] = str(tmp_path / "huge.col")
+        Path(files["huge"]).write_text(f"1 2 1 {10**6 + 1}\n")
+        start = time.perf_counter()
+        assert run([files.get(a, a) for a in argv]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "above the limit" in err
+
+
 class TestSolve:
     def test_p4_k3_no(self, files, capsys):
         code, payload = run_json(capsys, ["solve", files["p4"], "-k", "3"])
@@ -119,6 +143,24 @@ class TestSolve:
         first = capsys.readouterr().out
         run(["--json", "solve", files["c4"], "-k", "2"])
         assert capsys.readouterr().out == first
+
+
+class TestSearchOrder:
+    @pytest.mark.parametrize(
+        "cmd, mode, order",
+        [
+            ("solve", "decision", "closing"),
+            ("solve", "witness", "id"),
+            ("solve", "count", "id"),
+            ("rrole", "decision", "id"),
+            ("rrole", "witness", "id"),
+            ("rrole", "count", "closing"),
+        ],
+    )
+    def test_stats_name_the_order(self, files, capsys, cmd, mode, order):
+        target = ["-k", "2"] if cmd == "solve" else [files["edge"]]
+        code, payload = run_json(capsys, [cmd, files["c4"], *target, "--mode", mode])
+        assert code == 0 and payload["stats"]["order"] == order
 
 
 class TestRRole:

@@ -68,6 +68,7 @@ REJECTED = [
     ("coloring", "1 2\n2 1\n", "single line", 2),
     ("coloring", "1 a 2\n", "integers", 1),
     ("coloring", "1 0 2\n", "outside", 1),
+    ("coloring", "1 1000001 2\n", "above the limit", 1),
     # comments and blank lines are skipped, but still counted as lines
     ("graph", "# c\n\n3 1\n  # indented\n\n1 1\n", "self-loop", 6),
     ("role", "# c\n\n2 1\n  # indented\n\n1 3\n", "out of range", 6),
@@ -89,6 +90,14 @@ def test_rejected(fmt, text, fragment, line):
 def test_header_count_limit_is_inclusive():
     # a hypergraph allocates nothing per vertex, so the limit itself is cheap to read
     assert parse_hypergraph("1000000 0\n").n == 10**6
+
+
+def test_coloring_color_limit_is_inclusive():
+    # checks allocate per color, so k and every color stay within the header limit
+    assert parse_coloring("1 1000000\n").k == 10**6
+    assert parse_coloring("1 2\n", 10**6).k == 10**6
+    with pytest.raises(ValueError, match="1..1000001 is above the limit"):
+        parse_coloring("1 2\n", 10**6 + 1)
 
 
 @pytest.mark.parametrize(

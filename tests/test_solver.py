@@ -15,7 +15,7 @@ from rolecolor import (
 )
 from rolecolor import solver
 from rolecolor.generators import random_graph
-from naive import naive_k_role, naive_k_role_partitions, naive_r_role
+from naive import naive_closing_order, naive_k_role, naive_k_role_partitions, naive_r_role
 
 
 class TestOneRole:
@@ -240,3 +240,77 @@ class TestSolveRRole:
         res = solve_r_role(g, r, mode="witness", budget=10**4)
         assert res.status == "yes"
         assert verify_r_role(g, r, res.certificate) is None
+
+
+def random_role_graph(rng, colors):
+    return RoleGraph(
+        colors, [(a, b) for a in range(1, colors + 1) for b in range(a, colors + 1) if rng.random() < 0.5]
+    )
+
+
+def run_engine(g, k, r, mode, order):
+    """(status, count, nodes) of one engine search in the given vertex order."""
+    s = solver._Engine(g, k, r, mode, 10**6, True, 1, order)
+    return s.run(), s.count, s.nodes
+
+
+class TestClosingOrder:
+    def test_matches_naive(self):
+        rng = random.Random(61)
+        graphs = [Graph(0), Graph(1), Graph(5), Graph(6, [(0, 1), (3, 4), (4, 5)])]
+        graphs += [random_graph(rng, rng.randint(0, 12), rng.choice((0.1, 0.3, 0.6))) for _ in range(300)]
+        for g in graphs:
+            assert solver._closing_order(g) == naive_closing_order(g), sorted(g.edges)
+
+    def test_same_answers_as_id_order(self):
+        # the modes that use the closing order: k-role decision and R-role count
+        def run(g, k, r, mode, order):
+            return run_engine(g, k, r, mode, order)[:2]
+
+        rng = random.Random(67)
+        for _ in range(150):
+            g = random_graph(rng, rng.randint(1, 9), rng.choice((0.2, 0.4, 0.6)))
+            closing, ids = solver._closing_order(g), list(range(g.n))
+            for k in range(1, 5):
+                assert run(g, k, None, "decision", closing) == run(g, k, None, "decision", ids)
+            r = random_role_graph(rng, rng.randint(1, 4))
+            assert run(g, r.colors, r, "count", closing) == run(g, r.colors, r, "count", ids)
+
+    def test_closing_order_cuts_nodes(self):
+        def nodes(g, k, r, mode, order):
+            return run_engine(g, k, r, mode, order)[2]
+
+        for n, p, k, r, mode, most in (
+            (15, 0.35, 4, None, "decision", 9085),  # 58,811 nodes in id order
+            (34, 0.2, 2, RoleGraph(2, [(1, 1), (1, 2)]), "count", 37504),  # 252,586 in id order
+        ):
+            rng = random.Random(5)
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+            assert nodes(g, k, r, mode, solver._closing_order(g)) <= most
+            assert nodes(g, k, r, mode, list(range(n))) > 5 * most
+
+    def test_order_per_mode(self, c4):
+        edge = RoleGraph(2, [(1, 2)])
+        for mode, k_order, r_order in (
+            ("decision", "closing", "id"),
+            ("witness", "id", "id"),
+            ("count", "id", "closing"),
+            ("enumerate", "id", "id"),
+        ):
+            assert solve_k_role(c4, 2, mode=mode).order == k_order
+            assert solve_r_role(c4, edge, mode=mode).order == r_order
+
+    def test_large_graphs_are_fast(self):
+        n = 10**5
+        path = Graph(n, [(i, i + 1) for i in range(n - 1)])
+        star = Graph(n, [(0, i) for i in range(1, n)])
+        for g, head in ((path, [0, 1, 2]), (star, [1, 0, 2])):
+            start = time.perf_counter()
+            order = solver._closing_order(g)
+            assert time.perf_counter() - start < 20.0  # an O(n^2) scan would take hours
+            assert order[:3] == head and sorted(order) == list(range(n))
+
+    def test_long_path_decision(self):
+        g = Graph(20000, [(i, i + 1) for i in range(19999)])
+        res = solve_k_role(g, 2, budget=10**6)
+        assert (res.status, res.order) == ("yes", "closing")

@@ -207,7 +207,8 @@ def _color_both_large(g: Graph, bp: Bipartition, cs: ChainStructure):
     y = min(cs.universalY)
     # the neighborhoods of the two universals fail to be independent exactly
     # when some edge avoids both of them
-    independent = not any(x not in e and y not in e for e in g.edges)
+    xy = {x, y}
+    independent = all(g.adj[v] <= xy for v in range(g.n) if v not in xy)
     colors = [0] * g.n
     if not independent:
         for v in range(g.n):

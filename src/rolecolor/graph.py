@@ -18,29 +18,38 @@ class GraphFormatError(ValueError):
 class Graph:
     """Simple undirected graph on vertices 0..n-1. No self-loops, no parallel edges.
 
-    Immutable after construction; safe to share between threads.
+    `n`, `m` and the adjacency `adj` (a tuple of frozensets) are set on
+    construction. `edges`, the frozenset of (u, v) pairs with u < v, is built
+    from `adj` on first use; two threads that race on it build equal sets, so
+    the graph is still immutable and safe to share between threads.
     """
 
-    __slots__ = ("n", "edges", "adj")
+    __slots__ = ("n", "m", "adj", "_edges")
 
     def __init__(self, n: int, edges=()):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         adj = [set() for _ in range(n)]
-        norm = []
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range [0,{n})")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if v in adj[u]:
+            au = adj[u]
+            if v in au:
                 raise ValueError(f"duplicate edge ({u},{v})")
-            adj[u].add(v)
+            au.add(v)
             adj[v].add(u)
-            norm.append((u, v) if u < v else (v, u))
         self.n = n
-        self.edges = frozenset(norm)
-        self.adj = tuple(frozenset(a) for a in adj)
+        self.m = sum(map(len, adj)) // 2
+        self.adj = tuple(map(frozenset, adj))
+        self._edges = None
+
+    @property
+    def edges(self) -> frozenset:
+        if self._edges is None:
+            self._edges = frozenset((u, v) for u, a in enumerate(self.adj) for v in a if u < v)
+        return self._edges
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -48,22 +57,18 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
 
-    @property
-    def m(self) -> int:
-        return len(self.edges)
-
     def __eq__(self, other):
-        return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
+        return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
     def __hash__(self):
-        return hash((self.n, self.edges))
+        return hash((self.n, self.adj))
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
 
     def to_text(self) -> str:
         lines = [f"{self.n} {self.m}"]
-        lines.extend(f"{u} {v}" for u, v in sorted(self.edges))
+        lines.extend(f"{u} {v}" for u, a in enumerate(self.adj) for v in sorted(a) if u < v)
         return "\n".join(lines) + "\n"
 
 
@@ -109,12 +114,21 @@ class ChainStructure:
 MAX_HEADER_COUNT = 10**6  # largest vertex or color count a file may declare
 
 
-def _read_records(text: str, build, record=tuple, header: bool = True):
+def _ints(toks: list) -> tuple:
+    """A record's tokens as integers, or ValueError("expected integers")."""
+    try:
+        return tuple(map(int, toks))
+    except ValueError:
+        raise ValueError("expected integers") from None
+
+
+def _read_records(text: str, build, record=_ints, header: bool = True):
     """Read the layout that every file format shares; return what `build` makes of it.
 
     Blank lines and lines whose first non-blank character is `#` are skipped.
-    Every other line is a record of whitespace-separated integers, which
-    `record` turns into an item.
+    Every other line is a record: its whitespace-separated tokens, which
+    `record` turns into an item. Every token must be an integer, and a record
+    function reports "expected integers" before any other fault of its line.
     With `header`, the first record is "a m", two non-negative integers, exactly
     m records follow, and the result is build(a, items); a above MAX_HEADER_COUNT
     is refused before anything is built. Otherwise the result is
@@ -132,11 +146,7 @@ def _read_records(text: str, build, record=tuple, header: bool = True):
             if toks and toks[0][0] != "#":
                 line = i
                 found += 1
-                try:
-                    vals = [int(t) for t in toks]
-                except ValueError:
-                    raise ValueError("expected integers") from None
-                yield vals
+                yield toks
 
     it = rows()
     try:
@@ -145,6 +155,7 @@ def _read_records(text: str, build, record=tuple, header: bool = True):
         head = next(it, None)
         if head is None:
             raise ValueError("missing header line")
+        head = _ints(head)
         if len(head) != 2 or min(head) < 0:
             raise ValueError("header must be two non-negative integers")
         if head[0] > MAX_HEADER_COUNT:
@@ -158,11 +169,14 @@ def _read_records(text: str, build, record=tuple, header: bool = True):
     return result
 
 
-def _edge_record(vals: list) -> list:
+def _edge_record(toks: list) -> tuple:
     """An edge line holds exactly two integers."""
-    if len(vals) != 2:
-        raise ValueError("edge line must be two integers")
-    return vals
+    try:
+        u, v = toks
+        return int(u), int(v)
+    except ValueError:
+        _ints(toks)  # a token that is not an integer is reported first
+        raise ValueError("edge line must be two integers") from None
 
 
 def parse_graph(text: str) -> Graph:

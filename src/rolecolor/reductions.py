@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import perm
 
-from .graph import Graph, _read_records, bipartition, is_connected
+from .graph import Graph, _ints, _read_records, bipartition, is_connected
 from .roles import RoleColoring, verify_k_role
 from .solver import (
     BUDGET_EXCEEDED,
@@ -94,8 +94,9 @@ class Hypergraph:
         return "\n".join(lines) + "\n"
 
 
-def _hyperedge(vals: list) -> list:
+def _hyperedge(toks: list) -> tuple:
     """A hyperedge line is "t v1 ... vt": t distinct vertices."""
+    vals = _ints(toks)
     t, vs = vals[0], vals[1:]
     if len(vs) != t:
         raise ValueError("hyperedge line must be 't v1 ... vt'")

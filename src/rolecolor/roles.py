@@ -6,7 +6,9 @@ compared as sets (bitmasks), never as multisets.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import filterfalse
 
 from .graph import MAX_HEADER_COUNT, Graph, _edge_record, _read_records, is_connected
 
@@ -36,8 +38,15 @@ class RoleColoring:
         return frozenset(self.assignment)
 
 
+_NO_COLORS = frozenset()
+
+
 class RoleGraph:
-    """Graph on colors 1..colors; self-loops permitted. A loop (c,c) puts c in N(c)."""
+    """Graph on colors 1..colors; self-loops permitted. A loop (c,c) puts c in N(c).
+
+    Neighbor sets are kept only for colors that have a neighbor, so a wide
+    color range costs nothing per unused color.
+    """
 
     __slots__ = ("colors", "edges", "_nbr")
 
@@ -49,19 +58,19 @@ class RoleGraph:
             if not (1 <= a <= colors and 1 <= b <= colors):
                 raise ValueError(f"role edge ({a},{b}) out of range [1,{colors}]")
             norm.add((a, b) if a <= b else (b, a))
-        nbr = [set() for _ in range(colors + 1)]
+        nbr = defaultdict(set)
         for a, b in norm:
             nbr[a].add(b)
             nbr[b].add(a)
         self.colors = colors
         self.edges = frozenset(norm)
-        self._nbr = tuple(frozenset(s) for s in nbr)
+        self._nbr = {c: frozenset(s) for c, s in nbr.items()}
 
     def neighbors(self, c: int) -> frozenset:
-        return self._nbr[c]
+        return self._nbr.get(c, _NO_COLORS)
 
     def degree(self, c: int) -> int:
-        return len(self._nbr[c])
+        return len(self.neighbors(c))
 
     def is_connected(self) -> bool:
         # loops never connect distinct colors
@@ -71,7 +80,7 @@ class RoleGraph:
         stack = [1]
         while stack:
             c = stack.pop()
-            for d in self._nbr[c]:
+            for d in self.neighbors(c):
                 if d != c and d not in seen:
                     seen.add(d)
                     stack.append(d)
@@ -101,6 +110,9 @@ NEIGHBORHOOD_MISMATCH = "NeighborhoodMismatch"
 LOCAL_SURJECTIVITY_FAILURE = "LocalSurjectivityFailure"
 
 
+DESCRIBE_LIMIT = 20  # unused colors that a NotSurjective description lists
+
+
 @dataclass(frozen=True)
 class Violation:
     kind: str
@@ -108,7 +120,13 @@ class Violation:
 
     def describe(self) -> str:
         if self.kind == NOT_SURJECTIVE:
-            return f"colors {sorted(self.witness)} are never used"
+            unused = sorted(self.witness)
+            if len(unused) <= DESCRIBE_LIMIT:
+                return f"colors {unused} are never used"
+            return (
+                f"{len(unused)} colors are never used, "
+                f"the first {DESCRIBE_LIMIT}: {unused[:DESCRIBE_LIMIT]}"
+            )
         if self.kind == NEIGHBORHOOD_MISMATCH:
             u, v, su, sv = self.witness
             return (
@@ -122,8 +140,18 @@ class Violation:
         )
 
 
-def _colors_of(g: Graph, c: RoleColoring, v: int) -> frozenset:
-    return frozenset(c.assignment[u] for u in g.adj[v])
+def _color_lookup(c: RoleColoring):
+    """vertex -> color as a C callable, for frozenset(map(color_of, g.adj[v])).
+
+    A list's __getitem__ is a plain C method; a tuple's goes through a slot
+    wrapper, which makes map() over it slower than a generator expression.
+    """
+    return list(c.assignment).__getitem__
+
+
+def _unused_colors(c: RoleColoring) -> tuple:
+    """Colors in 1..c.k that no vertex has, ascending."""
+    return tuple(filterfalse(c.used_colors().__contains__, range(1, c.k + 1)))
 
 
 def verify_k_role(g: Graph, c: RoleColoring):
@@ -134,13 +162,13 @@ def verify_k_role(g: Graph, c: RoleColoring):
     """
     if c.n != g.n:
         raise ValueError(f"coloring covers {c.n} vertices, graph has {g.n}")
-    missing = frozenset(range(1, c.k + 1)) - c.used_colors()
+    missing = _unused_colors(c)
     if missing:
-        return Violation(NOT_SURJECTIVE, tuple(sorted(missing)))
+        return Violation(NOT_SURJECTIVE, missing)
+    color_of = _color_lookup(c)
     first = {}  # color -> (vertex, neighborhood color set)
-    for v in range(g.n):
-        col = c.assignment[v]
-        sv = _colors_of(g, c, v)
+    for v, (col, nb) in enumerate(zip(c.assignment, g.adj)):
+        sv = frozenset(map(color_of, nb))
         if col in first:
             u, su = first[col]
             if su != sv:
@@ -154,7 +182,11 @@ def extract_role_graph(g: Graph, c: RoleColoring) -> RoleGraph:
     """The role graph induced by c: edges between colors joined by some edge of g."""
     if c.n != g.n:
         raise ValueError(f"coloring covers {c.n} vertices, graph has {g.n}")
-    return RoleGraph(c.k, ((c.assignment[u], c.assignment[v]) for u, v in g.edges))
+    color_of = _color_lookup(c)
+    seen = defaultdict(set)  # color -> colors of its vertices' neighbors
+    for col, nb in zip(c.assignment, g.adj):
+        seen[col].update(map(color_of, nb))
+    return RoleGraph(c.k, ((a, b) for a, bs in seen.items() for b in bs))
 
 
 def verify_r_role(g: Graph, r: RoleGraph, c: RoleColoring):
@@ -163,12 +195,13 @@ def verify_r_role(g: Graph, r: RoleGraph, c: RoleColoring):
         raise ValueError(f"coloring covers {c.n} vertices, graph has {g.n}")
     if c.k != r.colors:
         raise ValueError(f"coloring uses color range [1,{c.k}], role graph has {r.colors}")
-    missing = frozenset(range(1, r.colors + 1)) - c.used_colors()
+    missing = _unused_colors(c)
     if missing:
-        return Violation(NOT_SURJECTIVE, tuple(sorted(missing)))
-    for v in range(g.n):
-        sv = _colors_of(g, c, v)
-        sr = r.neighbors(c.assignment[v])
+        return Violation(NOT_SURJECTIVE, missing)
+    color_of = _color_lookup(c)
+    for v, (col, nb) in enumerate(zip(c.assignment, g.adj)):
+        sv = frozenset(map(color_of, nb))
+        sr = r.neighbors(col)
         if sv != sr:
             return Violation(LOCAL_SURJECTIVITY_FAILURE, (v, sv, sr))
     return None
@@ -219,8 +252,8 @@ def parse_role_graph(text: str) -> RoleGraph:
     """
     seen = set()
 
-    def record(vals):
-        a, b = _edge_record(vals)
+    def record(toks):
+        a, b = _edge_record(toks)
         e = (a, b) if a <= b else (b, a)
         if e in seen:
             raise ValueError(f"duplicate edge ({a},{b})")

@@ -12,7 +12,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from rolecolor import Graph, Hypergraph, RoleColoring, RoleGraph, is_connected, verify_k_role
+from rolecolor import (
+    Graph,
+    GraphFormatError,
+    Hypergraph,
+    RoleColoring,
+    RoleGraph,
+    is_connected,
+    verify_k_role,
+)
 from rolecolor.solver import (
     BUDGET_EXCEEDED,
     COUNT,
@@ -185,6 +193,78 @@ def naive_hypergraph_k_colorable(
         nodes=nodes,
         certificates=tuple(found) if mode == ENUMERATE else (),
     )
+
+
+def _naive_edge_list(text: str, check) -> tuple:
+    """Reference reader for the "a m" edge-list formats, one plain pass.
+
+    Every token of a record is converted before its width is checked, then
+    `check(a, u, v, seen)` applies the format's own edge checks in order.
+    Returns (a, frozenset of (min, max) edge pairs); a fault raises the
+    GraphFormatError, with the line of the first faulty record, that the
+    package reader is documented to raise.
+    """
+    records = [
+        (i, toks)
+        for i, toks in enumerate(map(str.split, text.splitlines()), start=1)
+        if toks and toks[0][0] != "#"
+    ]
+    if not records:
+        raise GraphFormatError("missing header line")
+    (line, toks), body = records[0], records[1:]
+    try:
+        head = [int(t) for t in toks]
+    except ValueError:
+        raise GraphFormatError("expected integers", line) from None
+    if len(head) != 2 or min(head) < 0:
+        raise GraphFormatError("header must be two non-negative integers", line)
+    a, m = head
+    if a > 10**6:
+        raise GraphFormatError(f"header count {a} is above the limit 1000000", line)
+    seen = set()
+    for line, toks in body:
+        try:
+            vals = [int(t) for t in toks]
+        except ValueError:
+            raise GraphFormatError("expected integers", line) from None
+        if len(vals) != 2:
+            raise GraphFormatError("edge line must be two integers", line)
+        u, v = vals
+        fault = check(a, u, v, seen)
+        if fault:
+            raise GraphFormatError(fault, line)
+        seen.add((min(u, v), max(u, v)))
+    if len(body) != m:
+        raise GraphFormatError(f"declared {m} records but found {len(body)}")
+    return a, frozenset(seen)
+
+
+def _graph_edge_fault(n, u, v, seen):
+    if not (0 <= u < n and 0 <= v < n):
+        return f"edge ({u},{v}) out of range [0,{n})"
+    if u == v:
+        return f"self-loop at vertex {u}"
+    if (min(u, v), max(u, v)) in seen:
+        return f"duplicate edge ({u},{v})"
+    return None
+
+
+def _role_edge_fault(colors, a, b, seen):
+    if (min(a, b), max(a, b)) in seen:
+        return f"duplicate edge ({a},{b})"
+    if not (1 <= a <= colors and 1 <= b <= colors):  # reported with its ends in order
+        return f"role edge ({min(a, b)},{max(a, b)}) out of range [1,{colors}]"
+    return None
+
+
+def naive_parse_graph(text: str) -> tuple:
+    """(n, edges) as parse_graph must read them, or its GraphFormatError."""
+    return _naive_edge_list(text, _graph_edge_fault)
+
+
+def naive_parse_role_graph(text: str) -> tuple:
+    """(colors, edges) as parse_role_graph must read them, or its GraphFormatError."""
+    return _naive_edge_list(text, _role_edge_fault)
 
 
 def identity_coloring(g: Graph) -> RoleColoring:

@@ -78,6 +78,26 @@ class TestColorLimit:
         code, payload = run_json(capsys, ["verify", files["c4"], files["good"], "-k", str(10**6)])
         assert code == 1 and payload["violation"]["kind"] == "NotSurjective"
 
+    # nothing is kept or printed per unused color, so a range of 10**6 colors is cheap
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["verify", "c4", "good", "-k", str(10**6)], 1),
+            (["rolegraph", "c4", "top"], 0),
+        ],
+    )
+    def test_at_the_limit_is_fast_and_short(self, files, tmp_path, capsys, json_flag, argv, code):
+        files["top"] = str(tmp_path / "top.col")
+        Path(files["top"]).write_text(f"1 2 1 {10**6}\n")
+        start = time.perf_counter()
+        assert run([*json_flag, *(files.get(a, a) for a in argv)]) == code
+        assert time.perf_counter() - start < 1.0
+        out = capsys.readouterr().out
+        assert len(out.encode()) < 1024
+        if json_flag:
+            jsonschema.validate(json.loads(out), SCHEMA)
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -1,5 +1,6 @@
-"""The four file formats share one layout: a table of rejected inputs, and a
-fuzz test that the readers and the CLI fail only in the documented ways."""
+"""The four file formats share one layout: a table of rejected inputs, a
+check of the edge-list readers against a plain reference reader, and a fuzz
+test that the readers and the CLI fail only in the documented ways."""
 
 import json
 from pathlib import Path
@@ -10,7 +11,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rolecolor import (
+    Graph,
     GraphFormatError,
+    RoleGraph,
     emit_coloring,
     parse_coloring,
     parse_graph,
@@ -18,6 +21,7 @@ from rolecolor import (
     parse_role_graph,
 )
 from rolecolor.cli import run
+from naive import naive_parse_graph, naive_parse_role_graph
 
 PARSERS = {
     "graph": parse_graph,
@@ -113,6 +117,60 @@ def test_comments_and_blank_lines_are_skipped(fmt, plain):
     text = "# head\n\n" + plain.replace("\n", "\n \t# note\n\n", 1)
     show = emit_coloring if fmt == "coloring" else lambda x: x.to_text()
     assert show(PARSERS[fmt](text)) == show(PARSERS[fmt](plain))
+
+
+# Edge-list texts with several faults each. Most ends lie in 1..n-1, valid
+# for both the graph ids 0..n-1 and the role ids 1..n, so loops and repeated
+# or reversed edges are common; the others are 0, n or outside both ranges.
+BAD_RECORDS = ["0 x", "1.5 2", "+1 2", "1_0 0", "\u0663 1", "0 1 z"]
+SKIPPED = ["# 0 1", "#", "  # note", "", "   ", "\t"]
+
+
+@st.composite
+def edge_list_texts(draw):
+    n = draw(st.sampled_from([3, 4, 5, 2, 6, 1, 0]))
+    inside = st.integers(1, max(n - 1, 1)).map(str)
+    end = st.one_of(inside, inside, inside, inside, st.sampled_from(["0", str(n), "-1", "9"]))
+    edge = st.tuples(end, end)
+    record = st.one_of(
+        edge.map(" ".join),
+        edge.map(" ".join),
+        edge.map(lambda e: f"\t{e[1]}\t {e[0]}  "),
+        st.lists(end, min_size=1, max_size=3).map(" ".join),
+        st.sampled_from(BAD_RECORDS),
+        st.sampled_from(SKIPPED),
+    )
+    body = draw(st.lists(record, max_size=8))
+    records = sum(1 for r in body if r.split() and r.split()[0][0] != "#")
+    m = records + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    header = draw(
+        st.sampled_from(
+            [f"{n} {m}"] * 6 + ["", "# head", f"{n}", f"{n} {m} 0", f"-1 {m}", f"{n} x", "1000001 0"]
+        )
+    )
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(body) + 1, max_size=len(body) + 1))
+    return "".join(line + end for line, end in zip([header, *body], ends))
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except GraphFormatError as e:
+        return ("error", str(e), e.line)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(text=edge_list_texts())
+def test_edge_list_readers_match_the_reference(text):
+    g = outcome(parse_graph, text)
+    if isinstance(g, Graph):
+        assert g.m == len(g.edges)
+        g = (g.n, g.edges)
+    assert g == outcome(naive_parse_graph, text)
+    r = outcome(parse_role_graph, text)
+    if isinstance(r, RoleGraph):
+        r = (r.colors, r.edges)
+    assert r == outcome(naive_parse_role_graph, text)
 
 
 # Counts and ids stay small: a header such as "1000000 0" is valid and

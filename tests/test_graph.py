@@ -11,8 +11,9 @@ from rolecolor import (
     is_connected,
     parse_graph,
 )
-from rolecolor.generators import random_chain_graph, random_graph
+from rolecolor.generators import random_chain_graph, random_connected_hypergraph, random_graph
 from rolecolor.graph import connected_components
+from rolecolor.reductions import build_k3_instance, build_k4_instance, build_kpath_instance
 from naive import has_induced_2k2
 
 
@@ -77,6 +78,57 @@ class TestParsing:
         for _ in range(50):
             g = random_graph(rng, rng.randint(0, 9))
             assert parse_graph(g.to_text()) == g
+
+
+def gadget_graphs():
+    """k3, k4 and kpath gadgets on a few random connected 3-uniform hypergraphs."""
+    rng = random.Random(5)
+    out = []
+    for nq, ns in ((3, 1), (4, 3), (6, 4), (7, 6)):
+        h = random_connected_hypergraph(rng, nq, ns)
+        out += [build_k3_instance(h), build_k4_instance(h), build_kpath_instance(h, 5 + nq % 3)]
+    return out
+
+
+def invariant_graphs():
+    rng = random.Random(11)
+    randoms = [random_graph(rng, rng.randint(0, 12), rng.random()) for _ in range(60)]
+    return randoms + [gg.graph for gg in gadget_graphs()]
+
+
+class TestInvariants:
+    """`m` and `adj` are set on construction; `edges` is built from `adj` on first use."""
+
+    def test_edges_are_built_on_first_use(self):
+        g = Graph(3, [(2, 0), (1, 2)])
+        assert g._edges is None and g.m == 2
+        assert g.edges is g.edges == frozenset({(0, 2), (1, 2)})
+
+    def test_m_counts_the_edges(self):
+        for g in invariant_graphs():
+            assert g.m == len(g.edges) == sum(map(len, g.adj)) // 2
+            assert all(u < v and v in g.adj[u] for u, v in g.edges)
+
+    def test_edge_order_and_direction_do_not_matter(self):
+        rng = random.Random(17)
+        for g in invariant_graphs():
+            es = list(g.edges)
+            rng.shuffle(es)
+            mixed = Graph(g.n, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in es])
+            flipped = Graph(g.n, [(v, u) for u, v in reversed(es)])
+            for h in (mixed, flipped):
+                assert h == g and hash(h) == hash(g) and h.m == g.m
+            if es:
+                assert Graph(g.n, es[1:]) != g
+
+    def test_text_round_trips(self):
+        for g in invariant_graphs():
+            assert parse_graph(g.to_text()) == g
+        for gg in gadget_graphs():
+            text = gg.to_text()
+            assert f"# tag {gg.graph.n - 1} " in text
+            back = parse_graph(text)
+            assert back == gg.graph and back.m == gg.graph.m and back.edges == gg.graph.edges
 
 
 class TestConnectivity:

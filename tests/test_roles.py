@@ -52,6 +52,14 @@ class TestRoleGraph:
         with pytest.raises(ValueError, match="out of range"):
             RoleGraph(2, [(1, 3)])
 
+    def test_colors_without_neighbors(self):
+        # only colors with a neighbor keep a set, so a wide range costs nothing per color
+        r = RoleGraph(10**6, [(1, 2), (10**6, 10**6)])
+        assert r.neighbors(3) == frozenset() and r.degree(3) == 0
+        assert r.neighbors(10**6) == frozenset({10**6})
+        assert not r.is_connected()
+        assert len(r._nbr) == 3
+
 
 class TestVerifyKRole:
     def test_valid_path_coloring(self, p4):
@@ -62,6 +70,16 @@ class TestVerifyKRole:
         bad = verify_k_role(p4, RoleColoring((1, 1, 1, 1), 2))
         assert bad is not None and bad.kind == "NotSurjective"
         assert bad.witness == (2,)
+
+    def test_many_unused_colors_are_described_briefly(self, p4):
+        bad = verify_k_role(p4, RoleColoring((1, 2, 2, 1), 10**6))
+        assert bad.witness == tuple(range(3, 10**6 + 1))  # the witness stays complete
+        text = bad.describe()
+        assert text.startswith("999998 colors are never used, the first 20: [3, 4, ")
+        assert text.endswith(", 22]") and len(text) < 200
+        assert verify_k_role(p4, RoleColoring((1, 2, 2, 1), 22)).describe() == (
+            f"colors {list(range(3, 23))} are never used"
+        )
 
     def test_neighborhood_mismatch(self, p4):
         bad = verify_k_role(p4, RoleColoring((1, 1, 2, 2), 2))
@@ -96,6 +114,17 @@ class TestExtractRoleGraph:
     def test_loops_from_monochromatic_edges(self, triangle):
         r = extract_role_graph(triangle, RoleColoring((1, 1, 2), 2))
         assert (1, 1) in r.edges and (1, 2) in r.edges
+
+    def test_any_coloring_gives_the_edge_image(self):
+        # one role edge per graph edge's color pair, whatever the coloring;
+        # vertices of one color may see different color sets here
+        rng = random.Random(8)
+        for _ in range(200):
+            g = random_graph(rng, rng.randint(0, 9), rng.random())
+            k = rng.randint(1, 5)
+            c = RoleColoring(tuple(rng.randint(1, k) for _ in range(g.n)), k)
+            pairs = {tuple(sorted((c.color(u), c.color(v)))) for u, v in g.edges}
+            assert extract_role_graph(g, c) == RoleGraph(k, pairs)
 
     def test_self_consistency_with_verify_r(self):
         # extracted role graph always accepts the coloring it came from,

@@ -113,7 +113,8 @@ def _result_exit(res) -> int:
 
 
 def _solve_payload(res) -> dict:
-    payload = {"answer": res.status, "stats": {"nodes": res.nodes, "order": res.order}}
+    stats = {"nodes": res.nodes, "order": res.order, "leaves_rejected": res.leaves_rejected}
+    payload = {"answer": res.status, "stats": stats}
     if res.certificate is not None:
         payload["certificate"] = list(res.certificate.assignment)
     if res.count is not None:

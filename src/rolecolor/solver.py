@@ -38,6 +38,7 @@ class SolveResult:
     nodes: int = 0
     certificates: tuple = ()  # enumerate mode only
     order: str = "id"  # vertex order of the search: "id" or "closing"
+    leaves_rejected: int = 0  # completed colorings that failed the re-check; 0 with pruning on
 
     @property
     def answer(self) -> bool:
@@ -99,15 +100,23 @@ class _Engine:
 
     cnt[c][u] is the number of u's neighbors colored c. u's neighbor color set
     nbr_mask[u] changes only when one of those counters moves between 0 and 1,
-    so taking a color back costs O(deg). Locks set lazily go on one trail stack.
+    so taking a color back costs O(deg). For an open k-role class c, seen[c] is
+    the union of its members' nbr_mask: every member must end up seeing all of
+    it. Locks set lazily and every change to seen go on one trail stack (a lock
+    as c; a seen change as its old value, then -c), undone on backtrack.
 
     Pruning (answer-preserving; a k-role search drops it with `pruning=False`):
       * surjectivity: the remaining vertices must cover the unused colors;
       * lock check: every colored member of a locked class sees only colors in
         the lock, and its uncolored neighbors can still supply the rest of it;
-      * look-ahead (R-role only): every uncolored neighbor u of the vertex just
-        colored can still take some color d, that is, lock[d] holds the colors
-        u already sees and u's uncolored neighbors can supply the rest of it.
+      * open-class bound (k-role): every member w of an open class c can still
+        be supplied the colors of seen[c] it lacks by its uncolored neighbors;
+      * look-ahead: every uncolored neighbor u of the vertex just colored can
+        still take some color d, that is, lock[d] holds the colors u already
+        sees and u's uncolored neighbors can supply the rest of it. The k-role
+        forward check also accepts an open d whose seen[d] u can still reach;
+        an unused class is open with seen 0 and fits anyone, so it runs only
+        once all k colors are in use.
     """
 
     def __init__(
@@ -127,6 +136,9 @@ class _Engine:
             pos[v] = i
         self.adj = adj = [[pos[u] for u in g.adj[v]] for v in order]
         self.earlier = [[u for u in a if u < i] for i, a in enumerate(adj)]
+        # v and its earlier neighbors: the colored vertices whose state coloring v changes
+        self.touched = [[i, *e] for i, e in enumerate(self.earlier)]
+        self.later = [[u for u in a if u > i] for i, a in enumerate(adj)]  # for the forward check
         self.lock = [-1] * (k + 1)
         if r is not None:
             for c in range(1, k + 1):
@@ -136,10 +148,11 @@ class _Engine:
         self.rem = [len(a) for a in adj]  # uncolored neighbors
         self.cnt = [[0] * n for _ in range(k + 1)]
         self.members = [[] for _ in range(k + 1)]
-        self.trail: list[int] = []  # classes locked lazily, newest last
-        if r is not None:  # for the look-ahead
-            self.later = [[u for u in a if u > i] for i, a in enumerate(adj)]
+        self.seen = [0] * (k + 1)  # k-role, open classes only
+        self.trail: list[int] = []  # lazy locks and seen changes, newest last
+        if r is not None:
             self.need: dict[int, float] = {}  # memoised per seen-color mask
+        self.rejected = 0
         self.n_used = 0
         self.nodes = 0
         self.count = 0
@@ -163,7 +176,7 @@ class _Engine:
         return True
 
     def _color(self, v: int, c: int) -> bool:
-        """Color v with c; lock the open classes it closes and check their members."""
+        """Color v with c and apply the pruning rules that this coloring can trigger."""
         self.color[v] = c
         members = self.members[c]
         if not members:
@@ -181,13 +194,56 @@ class _Engine:
             return self._ahead(v)  # R-role locks are all set up front: nothing to close
         if not self.pruning:
             return True
-        # a locked class was checked before coloring; an open one locks once a
-        # member's neighborhood is colored
-        lock, color = self.lock, self.color
-        if not rem[v] and lock[c] < 0 and not self._close(v):
-            return False
-        for u in self.earlier[v]:
-            if not rem[u] and lock[color[u]] < 0 and not self._close(u):
+        return self._settle(v) and (self.n_used < self.k or self._forward(v))
+
+    def _settle(self, v: int) -> bool:
+        """k-role: lock the open classes that coloring v closes, fold the neighbor
+        color sets it changed into seen, and check the open-class bound where it can
+        have moved.
+
+        A locked class was checked before coloring. An open one locks once a member's
+        neighborhood is colored. Otherwise v's and its earlier neighbors' sets may
+        have grown, and those neighbors have one uncolored neighbor fewer: where
+        seen[c] grows, every member of c is checked, else only the vertex itself.
+        """
+        lock, seen, mask, rem, color = self.lock, self.seen, self.nbr_mask, self.rem, self.color
+        trail, members = self.trail, self.members
+        for u in self.touched[v]:
+            c = color[u]
+            if lock[c] >= 0:
+                continue
+            r = rem[u]
+            if not r:
+                if not self._close(u):
+                    return False
+                continue
+            s, m = seen[c], mask[u]
+            if m & ~s:
+                trail.append(s)
+                trail.append(-c)
+                seen[c] = s = s | m
+                for w in members[c]:
+                    if (s & ~mask[w]).bit_count() > rem[w]:
+                        return False
+            elif (s & ~m).bit_count() > r:
+                return False
+        return True
+
+    def _forward(self, v: int) -> bool:
+        """k-role, all k colors in use: check that each uncolored neighbor of v can
+        still join some class."""
+        lock, seen, mask, rem = self.lock, self.seen, self.nbr_mask, self.rem
+        classes = range(1, self.k + 1)
+        for u in self.later[v]:
+            m, r = mask[u], rem[u]
+            for d in classes:
+                want = lock[d]
+                if want < 0:
+                    if (seen[d] & ~m).bit_count() <= r:
+                        break
+                elif not m & ~want and (want & ~m).bit_count() <= r:
+                    break
+            else:
                 return False
         return True
 
@@ -230,10 +286,15 @@ class _Engine:
         return True
 
     def _uncolor(self, v: int, mark: int) -> None:
-        """Take back v's color and every lock set since the trail had length mark."""
-        trail, lock = self.trail, self.lock
+        """Take back v's color, and every lock and seen change since the trail had
+        length mark."""
+        trail, lock, seen = self.trail, self.lock, self.seen
         while len(trail) > mark:
-            lock[trail.pop()] = -1
+            c = trail.pop()
+            if c > 0:
+                lock[c] = -1
+            else:
+                seen[-c] = trail.pop()
         c = self.color[v]
         bit = 1 << c
         cnt, mask, rem = self.cnt[c], self.nbr_mask, self.rem
@@ -258,6 +319,7 @@ class _Engine:
         else:
             bad = verify_r_role(self.g, self.r, cert)
         if bad is not None:
+            self.rejected += 1
             return False
         if self.mode == COUNT:
             self.count += 1
@@ -269,6 +331,9 @@ class _Engine:
         n, k = self.g.n, self.k
         top = [0] * (n + 1)  # highest color to try at each level; 0 at a dead end
         mark = [0] * n  # trail length before each level's coloring
+        trail, color, budget, pruning = self.trail, self.color, self.budget, self.pruning
+        fits, apply, undo = self._fits, self._color, self._uncolor  # looked up once: the loop is hot
+        nodes = self.nodes
         v = c = 0
         fresh = True
         while True:
@@ -278,29 +343,31 @@ class _Engine:
                 if v == n:
                     if self.n_used == k and self._leaf():
                         break
-                elif self.pruning and k - self.n_used > n - v:
+                elif pruning and k - self.n_used > n - v:
                     top[v] = 0
                 else:
                     top[v] = min(self.n_used + 1, k) if self.r is None else k
             while c < top[v]:
                 c += 1
-                self.nodes += 1
-                if self.nodes > self.budget:
+                nodes += 1
+                if nodes > budget:
+                    self.nodes = nodes
                     return BUDGET_EXCEEDED
-                if self.pruning and not self._fits(v, c):
+                if pruning and not fits(v, c):
                     continue
-                mark[v] = len(self.trail)
-                if self._color(v, c):
+                mark[v] = len(trail)
+                if apply(v, c):
                     v += 1
                     fresh = True
                     break
-                self._uncolor(v, mark[v])
+                undo(v, mark[v])
             else:
                 if v == 0:
                     break
                 v -= 1
-                c = self.color[v]
-                self._uncolor(v, mark[v])
+                c = color[v]
+                undo(v, mark[v])
+        self.nodes = nodes
         if self.mode == COUNT:
             return YES if self.count else NO
         return YES if self.found else NO
@@ -337,6 +404,7 @@ def _solve(
         nodes=s.nodes,
         certificates=tuple(s.found) if s.mode == ENUMERATE else (),
         order=name,
+        leaves_rejected=s.rejected,
     )
 
 

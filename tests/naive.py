@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to cross-check the solvers.
 
 Everything here enumerates plainly (all surjective maps, all assignments) and
-never reuses the production search code.
+never reuses the production search code, except `RescanEngine`, which keeps the
+engine's walk and spells out only its incremental pruning rules.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from rolecolor.solver import (
     YES,
     SolveResult,
     _check_search_args,
+    _Engine,
 )
 
 
@@ -117,6 +119,48 @@ def naive_k_role_partitions(g: Graph, k: int):
         rgs[v] = 0
 
     yield from rec(0, 0)
+
+
+class RescanEngine(_Engine):
+    """The search engine with its incremental rules recomputed from scratch.
+
+    After each coloring, and after the classes it closes are locked, seen[c] is
+    rebuilt for every class and every member of every open class is checked
+    against it; the forward check and the R-role look-ahead take every uncolored
+    neighbor from the full adjacency list, not from the engine's `later` lists.
+    Same walk and same rules, so the same nodes.
+    """
+
+    def _settle(self, v: int) -> bool:
+        for u in [v, *self.earlier[v]]:
+            if not self.rem[u] and self.lock[self.color[u]] < 0 and not self._close(u):
+                return False
+        mask, rem = self.nbr_mask, self.rem
+        for c in range(1, self.k + 1):
+            seen = 0
+            for w in self.members[c]:
+                seen |= mask[w]
+            self.seen[c] = seen  # never trailed: rebuilt before each use
+            if self.lock[c] < 0 and any((seen & ~mask[w]).bit_count() > rem[w] for w in self.members[c]):
+                return False
+        return True
+
+    def _open_to(self, u: int) -> bool:
+        """Some class can still take the uncolored vertex u."""
+        m, r = self.nbr_mask[u], self.rem[u]
+        for c in range(1, self.k + 1):
+            want = self.lock[c]
+            if want < 0 and (self.seen[c] & ~m).bit_count() <= r:
+                return True
+            if want >= 0 and not m & ~want and (want & ~m).bit_count() <= r:
+                return True
+        return False
+
+    def _forward(self, v: int) -> bool:
+        return all(self._open_to(u) for u in self.adj[v] if not self.color[u])
+
+    def _ahead(self, v: int) -> bool:
+        return all(self._need(self.nbr_mask[u]) <= self.rem[u] for u in self.adj[v] if not self.color[u])
 
 
 def naive_closing_order(g: Graph) -> list:

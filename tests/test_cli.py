@@ -183,6 +183,20 @@ class TestSearchOrder:
         assert code == 0 and payload["stats"]["order"] == order
 
 
+class TestLeavesRejected:
+    @pytest.mark.parametrize("cmd", ["solve", "rrole"])
+    @pytest.mark.parametrize("mode", ["decision", "witness", "count"])
+    def test_stats_count_rejected_leaves(self, files, capsys, cmd, mode):
+        target = ["-k", "2"] if cmd == "solve" else [files["edge"]]
+        code, payload = run_json(capsys, [cmd, files["c4"], *target, "--mode", mode])
+        assert code == 0 and payload["stats"]["leaves_rejected"] == 0
+
+    def test_schema_documents_search_stats(self):
+        for stats in ({"nodes": -1}, {"order": "random"}, {"leaves_rejected": "0"}):
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate({"answer": "yes", "stats": stats}, SCHEMA)
+
+
 class TestRRole:
     def test_c4_onto_edge(self, files, capsys):
         code, payload = run_json(capsys, ["rrole", files["c4"], files["edge"]])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 
@@ -40,10 +41,21 @@ class Graph:
                 raise ValueError(f"duplicate edge ({u},{v})")
             au.add(v)
             adj[v].add(u)
+        self._fill(n, tuple(map(frozenset, adj)))
+
+    def _fill(self, n: int, adj: tuple) -> None:
         self.n = n
         self.m = sum(map(len, adj)) // 2
-        self.adj = tuple(map(frozenset, adj))
+        self.adj = adj
         self._edges = None
+
+    @classmethod
+    def _from_adjacency(cls, n: int, adj: tuple) -> Graph:
+        """The graph whose adjacency is `adj`, a tuple of n frozensets that the
+        caller has already checked: symmetric, in range, no self-loops."""
+        g = cls.__new__(cls)
+        g._fill(n, adj)
+        return g
 
     @property
     def edges(self) -> frozenset:
@@ -179,9 +191,65 @@ def _edge_record(toks: list) -> tuple:
         raise ValueError("edge line must be two integers") from None
 
 
+# A plain edge list: a header "n m", then lines "u v", every number written in
+# ASCII digits, one space between the two and nothing else on the line.
+_PLAIN_HEADER = re.compile(r"([0-9]+) ([0-9]+)\r?(?:\n|\Z)")
+_PLAIN_EDGES = re.compile(r"(?:[0-9]+ [0-9]+\r?\n)*+(?:[0-9]+ [0-9]+\r?)?")
+_SLICE = 1 << 16  # characters per bulk slice: bounds the token lists held at once
+
+
+def _read_plain_edges(text: str) -> Graph | None:
+    """The graph of a plain edge list, or None when `text` is not one.
+
+    Never raises. Any other layout, and any fault (a count off, an id out of
+    range, a self-loop, a duplicate edge), returns None, so the line reader
+    decides every other text and reports every error at its line. The layout
+    is checked first, so another layout costs one scan; the body is then read
+    in slices that end at a newline, and every adjacency set shares one int
+    object per vertex.
+    """
+    head = _PLAIN_HEADER.match(text)
+    if head is None or _PLAIN_EDGES.fullmatch(text, head.end()) is None:
+        return None
+    try:
+        n, m = map(int, head.groups())
+    except ValueError:  # more digits than int() converts
+        return None
+    if n > MAX_HEADER_COUNT:
+        return None
+    ids = list(range(n)).__getitem__
+    adj = [[] for _ in range(n)]
+    records = 0
+    start, size = head.end(), len(text)
+    while start < size:
+        end = text.find("\n", start + _SLICE) + 1 or size
+        toks = text[start:end].split()
+        start = end
+        try:
+            us = list(map(int, toks[0::2]))
+            vs = list(map(int, toks[1::2]))
+        except ValueError:
+            return None
+        records += len(us)
+        if max(max(us), max(vs)) >= n:
+            return None
+        for u, v in zip(map(ids, us), map(ids, vs)):
+            adj[u].append(v)
+            adj[v].append(u)
+    adj = tuple(map(frozenset, adj))
+    if records != m or sum(map(len, adj)) != 2 * m:  # a loop or a repeated edge merges in its set
+        return None
+    return Graph._from_adjacency(n, adj)
+
+
 def parse_graph(text: str) -> Graph:
-    """Parse the "n m" edge-list format. Repeated or reversed duplicate edges are errors."""
-    return _read_records(text, Graph, _edge_record)
+    """Parse the "n m" edge-list format. Repeated or reversed duplicate edges are errors.
+
+    A plain edge list is read in bulk; every other text goes to the line
+    reader, which builds the same graph and reports each error at its line.
+    """
+    g = _read_plain_edges(text)
+    return g if g is not None else _read_records(text, Graph, _edge_record)
 
 
 def is_connected(g: Graph) -> bool:
@@ -226,6 +294,31 @@ def bipartition(g: Graph):
     Deterministic for disconnected graphs: each component is rooted at its
     smallest vertex and the root's side goes to partX.
     """
+    # Sides depend only on the parity of the BFS distance from each root, so
+    # whole levels are taken at once. Only a graph with an odd cycle needs the
+    # vertex-by-vertex walk, which fixes the reported witness.
+    adj = g.adj
+    sides = (set(), set())
+    for root in range(g.n):
+        if root in sides[0] or root in sides[1]:
+            continue
+        sides[0].add(root)
+        frontier, p = {root}, 0
+        while frontier:
+            nxt = set().union(*map(adj.__getitem__, frontier))
+            if not nxt.isdisjoint(sides[p]):
+                return _odd_walk(g)
+            p ^= 1
+            frontier = nxt - sides[p]
+            sides[p].update(frontier)
+    return Bipartition(frozenset(sides[0]), frozenset(sides[1]))
+
+
+def _odd_walk(g: Graph) -> NotBipartite:
+    """The odd closed walk that a BFS in sorted neighbour order meets first.
+
+    g must not be bipartite.
+    """
     side = [-1] * g.n
     parent = [-1] * g.n
     for root in range(g.n):
@@ -257,9 +350,6 @@ def bipartition(g: Graph):
                     meet = pw[j]
                     walk = pu[: pu.index(meet) + 1] + list(reversed(pw[:j])) + [u]
                     return NotBipartite(tuple(walk))
-    partX = frozenset(v for v in range(g.n) if side[v] == 0)
-    partY = frozenset(v for v in range(g.n) if side[v] == 1)
-    return Bipartition(partX, partY)
 
 
 def is_chain(g: Graph, bp: Bipartition):

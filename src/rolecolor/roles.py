@@ -10,7 +10,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from itertools import filterfalse
 
-from .graph import MAX_HEADER_COUNT, Graph, _edge_record, _read_records, is_connected
+from .graph import MAX_HEADER_COUNT, Graph, _edge_record, _read_records
 
 
 @dataclass(frozen=True)
@@ -205,18 +205,6 @@ def verify_r_role(g: Graph, r: RoleGraph, c: RoleColoring):
         if sv != sr:
             return Violation(LOCAL_SURJECTIVITY_FAILURE, (v, sv, sr))
     return None
-
-
-def check_degree_bound(g: Graph, c: RoleColoring, r: RoleGraph) -> bool:
-    """deg_G(v) >= deg_R(color(v)) for every vertex (a loop counts once)."""
-    return all(g.degree(v) >= r.degree(c.assignment[v]) for v in range(g.n))
-
-
-def check_role_connectivity(g: Graph, c: RoleColoring, r: RoleGraph) -> bool:
-    """True iff r is connected. Requires g connected."""
-    if not is_connected(g):
-        raise ValueError("check_role_connectivity requires a connected graph")
-    return r.is_connected()
 
 
 def parse_coloring(text: str, k: int | None = None) -> RoleColoring:

@@ -7,12 +7,11 @@ sys.path.insert(0, str(Path(__file__).parent))  # for the naive oracle helpers
 
 from rolecolor import (
     Graph,
-    check_degree_bound,
-    check_role_connectivity,
     extract_role_graph,
     is_connected,
     verify_k_role,
 )
+from naive import check_degree_bound, check_role_connectivity
 
 
 @pytest.fixture

@@ -12,8 +12,8 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from .graph import Graph
-from .reductions import Hypergraph
+from rolecolor.graph import Graph
+from rolecolor.reductions import Hypergraph
 
 
 def chain_graph_from_degrees(q: int, degrees: list[int], extra_isolated: int = 0) -> Graph:

@@ -14,9 +14,11 @@ from typing import NamedTuple
 import numpy as np
 
 from rolecolor import (
+    Bipartition,
     Graph,
     GraphFormatError,
     Hypergraph,
+    NotBipartite,
     RoleColoring,
     RoleGraph,
     is_connected,
@@ -311,6 +313,44 @@ def naive_parse_role_graph(text: str) -> tuple:
     return _naive_edge_list(text, _role_edge_fault)
 
 
+def naive_bipartition(g: Graph):
+    """BFS from each component's smallest vertex, neighbours in sorted order:
+    the parts, or the odd closed walk met first."""
+    side = [-1] * g.n
+    parent = [-1] * g.n
+    for root in range(g.n):
+        if side[root] != -1:
+            continue
+        side[root] = 0
+        queue = [root]
+        qi = 0
+        while qi < len(queue):
+            u = queue[qi]
+            qi += 1
+            for w in sorted(g.adj[u]):
+                if side[w] == -1:
+                    side[w] = 1 - side[u]
+                    parent[w] = u
+                    queue.append(w)
+                elif side[w] == side[u]:
+                    pu = [u]
+                    pw = [w]
+                    while parent[pu[-1]] != -1:
+                        pu.append(parent[pu[-1]])
+                    while parent[pw[-1]] != -1:
+                        pw.append(parent[pw[-1]])
+                    anc = set(pu)
+                    j = 0
+                    while pw[j] not in anc:
+                        j += 1
+                    meet = pw[j]
+                    walk = pu[: pu.index(meet) + 1] + list(reversed(pw[:j])) + [u]
+                    return NotBipartite(tuple(walk))
+    partX = frozenset(v for v in range(g.n) if side[v] == 0)
+    partY = frozenset(v for v in range(g.n) if side[v] == 1)
+    return Bipartition(partX, partY)
+
+
 def identity_coloring(g: Graph) -> RoleColoring:
     return RoleColoring(tuple(range(1, g.n + 1)), g.n)
 
@@ -330,6 +370,18 @@ def has_induced_2k2(g: Graph) -> bool:
             ):
                 return True
     return False
+
+
+def check_degree_bound(g: Graph, c: RoleColoring, r: RoleGraph) -> bool:
+    """deg_G(v) >= deg_R(color(v)) for every vertex (a loop counts once)."""
+    return all(g.degree(v) >= r.degree(c.assignment[v]) for v in range(g.n))
+
+
+def check_role_connectivity(g: Graph, c: RoleColoring, r: RoleGraph) -> bool:
+    """True iff r is connected. Requires g connected."""
+    if not is_connected(g):
+        raise ValueError("check_role_connectivity requires a connected graph")
+    return r.is_connected()
 
 
 def is_non_monochromatic(h: Hypergraph, beta: RoleColoring) -> bool:

@@ -27,7 +27,7 @@ from rolecolor import (
     solve_r_role,
     verify_k_role,
 )
-from rolecolor.generators import (
+from generators import (
     connected_chain_graphs,
     fano_plane,
     random_chain_graph,
@@ -245,7 +245,7 @@ def test_criterion_8_fixed_facts():
     rng = random.Random(8)
 
     # identity coloring is always an n-role coloring
-    from rolecolor.generators import random_graph
+    from generators import random_graph
 
     for _ in range(100):
         g = random_graph(rng, rng.randint(1, 9))

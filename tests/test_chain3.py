@@ -18,7 +18,7 @@ from rolecolor.chain3 import (
     TWO_SIDE_WITH_TAIL,
     TWO_UNIVERSAL,
 )
-from rolecolor.generators import (
+from generators import (
     connected_chain_graphs,
     random_chain_graph,
 )
@@ -110,7 +110,7 @@ class TestAgainstSolver:
                 assert verify_k_role(g, dec.certificate) is None
 
     def test_decision_is_label_invariant(self):
-        from rolecolor.generators import relabel
+        from generators import relabel
 
         rng = random.Random(5)
         for _ in range(50):

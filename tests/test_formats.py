@@ -1,8 +1,10 @@
 """The four file formats share one layout: a table of rejected inputs, a
 check of the edge-list readers against a plain reference reader, and a fuzz
-test that the readers and the CLI fail only in the documented ways."""
+test that the readers and the CLI fail only in the documented ways. Plain
+edge lists are read in bulk, which must agree with the line reader."""
 
 import json
+import random
 from pathlib import Path
 
 import jsonschema
@@ -21,6 +23,8 @@ from rolecolor import (
     parse_role_graph,
 )
 from rolecolor.cli import run
+from rolecolor.graph import _SLICE, _edge_record, _read_plain_edges, _read_records
+from generators import random_graph
 from naive import naive_parse_graph, naive_parse_role_graph
 
 PARSERS = {
@@ -219,3 +223,84 @@ def test_fuzzed_input_fails_only_as_documented(text, tmp_path, capsys):
             assert err.startswith("error:") and not out
         else:
             jsonschema.validate(json.loads(out), SCHEMA)
+
+
+def read_by_lines(text):
+    return _read_records(text, Graph, _edge_record)
+
+
+def plain_edge_list(rng, n, m):
+    """m distinct edges on n vertices, in random order and direction."""
+    edges = set()
+    while len(edges) < m:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    lines = [f"{u} {v}" if rng.random() < 0.5 else f"{v} {u}" for u, v in edges]
+    rng.shuffle(lines)
+    return "".join(f"{line}\n" for line in [f"{n} {m}", *lines])
+
+
+BIG = plain_edge_list(random.Random(3), 700, 20000)  # longer than one bulk slice
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0 0\n",
+        "3 0\n",
+        "2 1\n1 0\n",
+        random_graph(random.Random(1), 9, 0.5).to_text(),
+        random_graph(random.Random(2), 40, 0.3).to_text(),
+        BIG,
+    ],
+    ids=["n0", "edgeless", "one-edge", "n9", "n40", "big"],
+)
+@pytest.mark.parametrize("ending, last", [("\n", "\n"), ("\n", ""), ("\r\n", "\r\n")], ids=["lf", "no-last-lf", "crlf"])
+def test_bulk_reader_takes_plain_edge_lists(text, ending, last):
+    text = text.rstrip("\n").replace("\n", ending) + last
+    g = _read_plain_edges(text)
+    want = read_by_lines(text)
+    assert g is not None and g == want and g.m == want.m
+
+
+# A fault or another layout on the first line of the second slice: the line
+# reader must still decide, with the same graph or the same message and line.
+CUT = BIG.index("\n", BIG.index("\n") + 1 + _SLICE) + 1
+NEXT = BIG.index("\n", CUT) + 1
+A, B = BIG[CUT:NEXT].split()
+FIRST_EDGE = BIG.splitlines()[1].split()
+ABSENT = next(f"0 {v}" for v in range(1, 700) if f"\n0 {v}\n" not in BIG and f"\n{v} 0\n" not in BIG)
+
+FAULTS = {
+    "token": "0 x\n",
+    "float": "1.5 2\n",
+    "range": "0 700\n",
+    "negative": "-1 2\n",
+    "loop": "5 5\n",
+    "duplicate": f"{FIRST_EDGE[1]} {FIRST_EDGE[0]}\n",  # the first edge again, reversed
+    "short": "",  # one record too few
+    "over": f"{A} {B}\n{ABSENT}\n",  # one record too many
+    "over-by-a-repeat": f"{A} {B}\n{B} {A}\n",  # one too many, and still m distinct edges
+    "three": "0 1 2\n",
+}
+LAYOUTS = {
+    "comment": f"# note\n{A} {B}\n",
+    "blank": f"\n{A} {B}\n",
+    "indent": f" {A} {B}\n",
+    "tab": f"{A}\t{B}\n",
+    "two-spaces": f"{A}  {B}\n",
+    "plus": f"+{A} {B}\n",
+}
+
+
+@pytest.mark.parametrize("name", [*FAULTS, *LAYOUTS])
+def test_bulk_reader_leaves_other_texts_to_the_line_reader(name):
+    text = BIG[:CUT] + {**FAULTS, **LAYOUTS}[name] + BIG[NEXT:]
+    assert _read_plain_edges(text) is None
+    want = outcome(read_by_lines, text)
+    assert isinstance(want, Graph) == (name in LAYOUTS)
+    assert outcome(parse_graph, text) == want
+
+
+def test_bulk_graph_shares_one_int_per_vertex():
+    g = parse_graph(BIG)
+    assert len({id(x) for a in g.adj for x in a}) <= g.n

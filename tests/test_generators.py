@@ -2,7 +2,7 @@ import random
 from itertools import combinations
 
 from rolecolor import bipartition, is_chain, is_connected
-from rolecolor.generators import (
+from generators import (
     chain_graph_from_degrees,
     connected_chain_graphs,
     fano_plane,

@@ -11,10 +11,16 @@ from rolecolor import (
     is_connected,
     parse_graph,
 )
-from rolecolor.generators import random_chain_graph, random_connected_hypergraph, random_graph
+from generators import (
+    random_chain_graph,
+    random_connected_bipartite,
+    random_connected_hypergraph,
+    random_graph,
+    relabel,
+)
 from rolecolor.graph import connected_components
 from rolecolor.reductions import build_k3_instance, build_k4_instance, build_kpath_instance
-from naive import has_induced_2k2
+from naive import has_induced_2k2, naive_bipartition
 
 
 class TestGraphBasics:
@@ -177,6 +183,25 @@ class TestBipartition:
                 assert walk[0] == walk[-1] and len(walk) % 2 == 0
                 for a, b in zip(walk, walk[1:]):
                     assert g.has_edge(a, b)
+
+    def test_matches_the_sorted_reference(self):
+        def union(a, b):
+            g = Graph(a.n + b.n, [*a.edges, *((u + a.n, v + a.n) for u, v in b.edges)])
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            return relabel(g, perm)
+
+        rng = random.Random(29)
+        kinds = set()
+        for _ in range(200):
+            a = random_connected_bipartite(rng, rng.randint(2, 14))
+            b = random_connected_bipartite(rng, rng.randint(2, 8))
+            odd = random_graph(rng, rng.randint(3, 12), 0.3)
+            for g in (a, union(a, b), union(union(a, Graph(2)), odd), odd):
+                got = bipartition(g)
+                assert got == naive_bipartition(g)
+                kinds.add((bool(got), is_connected(g)))
+        assert len(kinds) == 4  # bipartite or not, connected or not
 
 
 class TestChainRecognition:

@@ -21,7 +21,7 @@ from rolecolor import (
     solve_k_role,
     verify_k_role,
 )
-from rolecolor.generators import fano_plane, random_connected_hypergraph
+from generators import fano_plane, random_connected_hypergraph
 from naive import is_non_monochromatic, naive_hypergraph_colorable, naive_hypergraph_k_colorable
 
 

@@ -7,8 +7,6 @@ from rolecolor import (
     GraphFormatError,
     RoleColoring,
     RoleGraph,
-    check_degree_bound,
-    check_role_connectivity,
     emit_coloring,
     extract_role_graph,
     parse_coloring,
@@ -16,7 +14,8 @@ from rolecolor import (
     verify_k_role,
     verify_r_role,
 )
-from rolecolor.generators import random_graph
+from generators import random_graph
+from naive import check_degree_bound, check_role_connectivity
 
 
 class TestRoleColoring:

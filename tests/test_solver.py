@@ -14,7 +14,7 @@ from rolecolor import (
     verify_r_role,
 )
 from rolecolor import solver
-from rolecolor.generators import random_connected_hypergraph, random_graph
+from generators import random_connected_hypergraph, random_graph
 from rolecolor.reductions import build_k4_instance
 from naive import RescanEngine, naive_closing_order, naive_k_role, naive_k_role_partitions, naive_r_role
 

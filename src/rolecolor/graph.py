@@ -41,7 +41,7 @@ class Graph:
                 raise ValueError(f"duplicate edge ({u},{v})")
             au.add(v)
             adj[v].add(u)
-        self._fill(n, tuple(map(frozenset, adj)))
+        self._fill(n, _frozen(adj))
 
     def _fill(self, n: int, adj: tuple) -> None:
         self.n = n
@@ -82,6 +82,15 @@ class Graph:
         lines = [f"{self.n} {self.m}"]
         lines.extend(f"{u} {v}" for u, a in enumerate(self.adj) for v in sorted(a) if u < v)
         return "\n".join(lines) + "\n"
+
+
+_NO_NEIGHBORS = frozenset()
+
+
+def _frozen(adj: list) -> tuple:
+    """Neighbor collections as a tuple of frozensets. Isolated vertices share one
+    empty set: each new empty frozenset holds about 200 bytes."""
+    return tuple([frozenset(a) if a else _NO_NEIGHBORS for a in adj])
 
 
 @dataclass(frozen=True)
@@ -219,7 +228,7 @@ def _read_plain_edges(text: str) -> Graph | None:
     2e5-line text.
     """
     head = _PLAIN_HEADER.match(text)
-    if head is None:
+    if head is None or "#" in text:  # the layout has no "#": decline comments before the slice scan
         return None
     slices = list(_slices(text, head.end()))
     if not all(_PLAIN_EDGES.fullmatch(text, start, end) for start, end in slices):
@@ -246,7 +255,7 @@ def _read_plain_edges(text: str) -> Graph | None:
         for u, v in zip(map(ids, us), map(ids, vs)):
             adj[u].append(v)
             adj[v].append(u)
-    adj = tuple(map(frozenset, adj))
+    adj = _frozen(adj)
     if records != m or sum(map(len, adj)) != 2 * m:  # a loop or a repeated edge merges in its set
         return None
     return Graph._from_adjacency(n, adj)

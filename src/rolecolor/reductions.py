@@ -300,7 +300,7 @@ def hypergraph_k_colorable(
             if nodes > budget:
                 return SolveResult(status=BUDGET_EXCEEDED, nodes=nodes)
             for rest in closing[v]:
-                if all(color[q] == c for q in rest):
+                if all(map(c.__eq__, map(color.__getitem__, rest))):
                     break  # c would make this hyperedge monochromatic
             else:
                 color[v] = c

@@ -37,7 +37,7 @@ class SolveResult:
     count: int | None = None
     nodes: int = 0
     certificates: tuple = ()  # enumerate mode only
-    order: str = "id"  # vertex order of the search: "id" or "closing"
+    order: str = "id"  # vertex order of the search: "closing" when no certificate is returned, else "id"
     leaves_rejected: int = 0  # completed colorings that failed the re-check; 0 with pruning on
 
     @property
@@ -387,10 +387,11 @@ def _solve(
     g: Graph, k: int, r: RoleGraph | None, mode: str, budget: int, pruning: bool, limit: int,
     cert_modes: tuple,
 ) -> SolveResult:
-    # k-role decision and R-role count return no certificate, so the closing
-    # order changes only their node counts; the other modes walk vertices by
-    # id, so witnesses and enumerate lists keep their documented order
-    closing = mode == (DECISION if r is None else COUNT)
+    # a search that returns no certificate (k-role decision and count, R-role
+    # count) runs in closing order, which changes only its node count: restricted
+    # growth in any vertex order lists each partition once. Witnesses and
+    # enumerate lists follow vertex ids, their documented order.
+    closing = mode not in cert_modes and mode != ENUMERATE
     name = "closing" if closing else "id"
     if k > g.n:  # k colors need k vertices; answer before any per-color state is built
         return SolveResult(status=NO, count=0 if mode == COUNT else None, order=name)

@@ -171,7 +171,7 @@ class TestSearchOrder:
         [
             ("solve", "decision", "closing"),
             ("solve", "witness", "id"),
-            ("solve", "count", "id"),
+            ("solve", "count", "closing"),
             ("rrole", "decision", "id"),
             ("rrole", "witness", "id"),
             ("rrole", "count", "closing"),

@@ -5,6 +5,7 @@ edge lists are read in bulk, which must agree with the line reader."""
 
 import json
 import random
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -304,3 +305,16 @@ def test_bulk_reader_leaves_other_texts_to_the_line_reader(name):
 def test_bulk_graph_shares_one_int_per_vertex():
     g = parse_graph(BIG)
     assert len({id(x) for a in g.adj for x in a}) <= g.n
+
+
+def test_isolated_vertices_share_one_empty_set():
+    graphs = []
+    for read in (_read_plain_edges, read_by_lines):
+        tracemalloc.start()
+        try:
+            graphs.append(read("100000 0\n"))
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 4 * 2**20, read.__name__  # an empty frozenset per vertex keeps about 22 MB
+    assert graphs[0] == graphs[1]

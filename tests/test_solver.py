@@ -356,7 +356,7 @@ class TestClosingOrder:
             assert solver._closing_order(g) == naive_closing_order(g), sorted(g.edges)
 
     def test_same_answers_as_id_order(self):
-        # the modes that use the closing order: k-role decision and R-role count
+        # the modes that use the closing order: k-role decision and count, R-role count
         def run(g, k, r, mode, order):
             return run_engine(g, k, r, mode, order)[:2]
 
@@ -365,29 +365,30 @@ class TestClosingOrder:
             g = random_graph(rng, rng.randint(1, 9), rng.choice((0.2, 0.4, 0.6)))
             closing, ids = solver._closing_order(g), list(range(g.n))
             for k in range(1, 5):
-                assert run(g, k, None, "decision", closing) == run(g, k, None, "decision", ids)
+                for mode in ("decision", "count"):
+                    assert run(g, k, None, mode, closing) == run(g, k, None, mode, ids)
             r = random_role_graph(rng, rng.randint(1, 4))
             assert run(g, r.colors, r, "count", closing) == run(g, r.colors, r, "count", ids)
 
     def test_closing_order_cuts_nodes(self):
-        def nodes(g, k, r, mode, order):
-            return run_engine(g, k, r, mode, order)[2]
-
-        for n, p, k, r, mode, most, factor in (
-            (15, 0.35, 4, None, "decision", 8853, 2),  # 22,259 nodes in id order
-            (34, 0.2, 2, RoleGraph(2, [(1, 1), (1, 2)]), "count", 37504, 5),  # 252,586 in id order
+        for n, p, k, r, mode, count, most, factor in (
+            (15, 0.35, 4, None, "decision", 0, 8853, 2),  # 22,259 nodes in id order
+            (15, 0.35, 4, None, "count", 166, 121510, 6),  # 844,813 in id order
+            (34, 0.2, 2, RoleGraph(2, [(1, 1), (1, 2)]), "count", 962, 37504, 5),  # 252,586 in id order
         ):
             rng = random.Random(5)
             g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
-            assert nodes(g, k, r, mode, solver._closing_order(g)) <= most
-            assert nodes(g, k, r, mode, list(range(n))) > factor * most
+            status, found, nodes = run_engine(g, k, r, mode, solver._closing_order(g))
+            assert (status, found) == ("yes", count) and nodes <= most
+            status, found, nodes = run_engine(g, k, r, mode, list(range(n)))
+            assert (status, found) == ("yes", count) and nodes > factor * most
 
     def test_order_per_mode(self, c4):
         edge = RoleGraph(2, [(1, 2)])
         for mode, k_order, r_order in (
             ("decision", "closing", "id"),
             ("witness", "id", "id"),
-            ("count", "id", "closing"),
+            ("count", "closing", "closing"),
             ("enumerate", "id", "id"),
         ):
             assert solve_k_role(c4, 2, mode=mode).order == k_order

@@ -8,6 +8,7 @@ stdout; errors always go to stderr with an "error:" prefix.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -69,10 +70,10 @@ def _violation_obj(v):
     return {"kind": v.kind, "detail": v.describe()}
 
 
-def _cmd_verify(args) -> int:
-    g = _load_graph(args.graph)
+def _verify(args, g, path: str) -> int:
+    """Check the coloring file at path as a k-role coloring of g."""
     try:
-        c = parse_coloring(_read(args.coloring), args.k)
+        c = parse_coloring(_read(path), args.k)
         bad = verify_k_role(g, c)
     except (GraphFormatError, ValueError) as e:
         raise _CliError(str(e))
@@ -85,6 +86,10 @@ def _cmd_verify(args) -> int:
         f"invalid: {bad.describe()}\n",
     )
     return EXIT_NO
+
+
+def _cmd_verify(args) -> int:
+    return _verify(args, _load_graph(args.graph), args.coloring)
 
 
 def _cmd_rolegraph(args) -> int:
@@ -134,20 +139,7 @@ def _solve_text(res) -> str:
 def _cmd_solve(args) -> int:
     g = _load_graph(args.graph)
     if args.check_certificate:
-        try:
-            c = parse_coloring(_read(args.check_certificate), args.k)
-            bad = verify_k_role(g, c)
-        except (GraphFormatError, ValueError) as e:
-            raise _CliError(str(e))
-        if bad is None:
-            _emit(args, {"answer": "valid", "stats": {}}, "valid\n")
-            return EXIT_YES
-        _emit(
-            args,
-            {"answer": "invalid", "violation": _violation_obj(bad), "stats": {}},
-            f"invalid: {bad.describe()}\n",
-        )
-        return EXIT_NO
+        return _verify(args, g, args.check_certificate)
     try:
         res = solve_k_role(g, args.k, mode=args.mode, budget=args.budget)
     except ValueError as e:
@@ -292,6 +284,7 @@ def _cmd_hgcolor(args) -> int:
     return _result_exit(res)
 
 
+@functools.cache  # built once per process: parsing keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="rolecolor", description=__doc__)
     ap.add_argument("--json", action="store_true", help="emit a single JSON object")
@@ -351,9 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_ERROR if e.code not in (0, None) else 0
     try:

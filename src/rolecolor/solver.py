@@ -98,15 +98,17 @@ class _Engine:
     neighborhood colored, and walks restricted growth strings, so color
     permutations are never enumerated and counts are "up to color permutation".
 
-    cnt[c][u] is the number of u's neighbors colored c. u's neighbor color set
-    nbr_mask[u] changes only when one of those counters moves between 0 and 1,
-    so taking a color back costs O(deg). For an open k-role class c, seen[c] is
-    the union of its members' nbr_mask: every member must end up seeing all of
-    it. Locks set lazily and every change to seen go on one trail stack (a lock
-    as c; a seen change as its old value, then -c), undone on backtrack.
+    nbr_mask[u] is u's neighbor color set. Coloring v with c records, in
+    gained[v], the neighbors of v whose set gains c; undo is last in, first out,
+    so taking the color back clears c on exactly those, in O(deg) and with
+    O(n + m) state in all. For an open k-role class c, seen[c] is the union of
+    its members' nbr_mask: every member must end up seeing all of it. Locks set
+    lazily and every change to seen go on one trail stack (a lock as c; a seen
+    change as its old value, then -c), undone on backtrack.
 
     Pruning (answer-preserving; a k-role search drops it with `pruning=False`):
-      * surjectivity: the remaining vertices must cover the unused colors;
+      * surjectivity: the remaining vertices must cover the unused colors, and
+        (k-role) when they are exactly as many, each of them opens a new color;
       * lock check: every colored member of a locked class sees only colors in
         the lock, and its uncolored neighbors can still supply the rest of it;
       * open-class bound (k-role): every member w of an open class c can still
@@ -146,7 +148,7 @@ class _Engine:
         self.color = [0] * n
         self.nbr_mask = [0] * n
         self.rem = [len(a) for a in adj]  # uncolored neighbors
-        self.cnt = [[0] * n for _ in range(k + 1)]
+        self.gained: list[list[int]] = [[]] * n  # per level: neighbors whose set gained the color
         self.members = [[] for _ in range(k + 1)]
         self.seen = [0] * (k + 1)  # k-role, open classes only
         self.trail: list[int] = []  # lazy locks and seen changes, newest last
@@ -183,12 +185,13 @@ class _Engine:
             self.n_used += 1
         members.append(v)
         bit = 1 << c
-        cnt, mask, rem = self.cnt[c], self.nbr_mask, self.rem
+        mask, rem = self.nbr_mask, self.rem
+        self.gained[v] = gained = []
         for u in self.adj[v]:
-            x = cnt[u]
-            cnt[u] = x + 1
-            if not x:
-                mask[u] |= bit
+            m = mask[u]
+            if not m & bit:
+                mask[u] = m | bit
+                gained.append(u)
             rem[u] -= 1
         if self.r is not None:
             return self._ahead(v)  # R-role locks are all set up front: nothing to close
@@ -296,13 +299,11 @@ class _Engine:
             else:
                 seen[-c] = trail.pop()
         c = self.color[v]
-        bit = 1 << c
-        cnt, mask, rem = self.cnt[c], self.nbr_mask, self.rem
+        keep = ~(1 << c)
+        mask, rem = self.nbr_mask, self.rem
+        for u in self.gained[v]:
+            mask[u] &= keep
         for u in self.adj[v]:
-            x = cnt[u] - 1
-            cnt[u] = x
-            if not x:
-                mask[u] &= ~bit
             rem[u] += 1
         members = self.members[c]
         members.pop()
@@ -345,8 +346,12 @@ class _Engine:
                         break
                 elif pruning and k - self.n_used > n - v:
                     top[v] = 0
+                elif self.r is not None:
+                    top[v] = k
                 else:
-                    top[v] = min(self.n_used + 1, k) if self.r is None else k
+                    top[v] = min(self.n_used + 1, k)
+                    if pruning and k - self.n_used == n - v:
+                        c = self.n_used  # every vertex left must open a new color: try only n_used + 1
             while c < top[v]:
                 c += 1
                 nodes += 1

@@ -142,12 +142,13 @@ class TestSolve:
         assert code == 3 and payload["answer"] == "budget-exceeded"
 
     def test_check_certificate_matches_verify(self, files, capsys):
-        for col in ("good", "bad"):
-            a = run(["solve", files["c4"], "-k", "2", "--check-certificate", files[col]])
-            capsys.readouterr()
-            b = run(["verify", files["c4"], files[col], "-k", "2"])
-            capsys.readouterr()
-            assert a == b
+        # same exit code, stdout and stderr, for valid, invalid and unreadable colorings
+        for flags in ([], ["--json"]):
+            for col, code in (("good", 0), ("bad", 1), ("dir", 2)):
+                a = run([*flags, "solve", files["c4"], "-k", "2", "--check-certificate", files[col]])
+                a_out = capsys.readouterr()
+                b = run([*flags, "verify", files["c4"], files[col], "-k", "2"])
+                assert (a, a_out) == (b, capsys.readouterr()) and a == code
 
     def test_deep_path(self, files, tmp_path, capsys):
         # deeper than the interpreter's recursion limit
@@ -295,6 +296,16 @@ class TestHgcolor:
 
 
 class TestUsage:
+    def test_no_value_carries_over_between_runs(self, files, capsys):
+        # the parser is built once per process; each run starts from the defaults
+        code, payload = run_json(capsys, ["solve", files["c4"], "-k", "2", "--mode", "count", "--budget", "1"])
+        assert (code, payload["answer"]) == (3, "budget-exceeded")
+        assert run(["rrole", files["c4"], files["edge"]]) == 0
+        assert capsys.readouterr().out.startswith("yes\n")  # text, not JSON
+        code, payload = run_json(capsys, ["solve", files["c4"], "-k", "2"])
+        assert code == 0 and payload["certificate"] == [1, 1, 2, 2]  # --mode witness, default budget
+        assert "count" not in payload
+
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == 2
 

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -130,6 +131,54 @@ class TestPruningNeutrality:
             k = rng.randint(1, g.n)
             baseline = sum(1 for _ in naive_k_role_partitions(g, k))
             assert solve_k_role(g, k, mode="count").count == baseline
+
+
+class TestForcedNewColor:
+    """Once the vertices left are exactly as many as the unused colors, each of
+    them must open a new color, so a k-role search tries no old color there."""
+
+    def test_matches_oracle_and_unpruned(self):
+        # every k up to n: k near n is where the rule fires
+        rng = random.Random(79)
+        for _ in range(24):
+            g = random_graph(rng, rng.randint(1, 9), rng.choice((0.2, 0.4, 0.6)))
+            for k in range(1, g.n + 1):
+                valid = [c.assignment for c in naive_k_role_partitions(g, k)]
+                for mode in MODES:
+                    def search(**kw):
+                        return solve_k_role(g, k, mode=mode, limit=3, **kw)
+
+                    res, plain = search(), search(pruning=False)
+                    want = (
+                        "yes" if valid else "no",
+                        len(valid) if mode == "count" else None,
+                        valid[0] if mode == "witness" and valid else None,
+                        valid[:3] if mode == "enumerate" else [],
+                    )
+                    assert outcome(res) == outcome(plain) == want, (sorted(g.edges), k, mode)
+                    assert res.nodes <= plain.nodes
+
+    def test_path_opens_a_color_per_vertex(self):
+        # each vertex of P_n with k = n is its own class: one node per vertex
+        for n in (2, 7, 40):
+            g = Graph(n, [(i, i + 1) for i in range(n - 1)])
+            res = solve_k_role(g, n)
+            assert (res.status, res.nodes) == ("yes", n)
+            res = solve_k_role(g, n, mode="witness")
+            assert (res.certificate.assignment, res.nodes) == (tuple(range(1, n + 1)), n)
+
+    def test_state_is_linear_in_size(self):
+        # a counter per (vertex, color) would take about 200 MB here
+        n = 5000
+        g = Graph(n, [(i, i + 1) for i in range(n - 1)])
+        tracemalloc.start()
+        try:
+            res = solve_k_role(g, n, budget=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (res.status, res.nodes) == ("yes", n)
+        assert peak < 30 * 2**20
 
 
 class TestLeafCheck:
@@ -372,8 +421,8 @@ class TestClosingOrder:
 
     def test_closing_order_cuts_nodes(self):
         for n, p, k, r, mode, count, most, factor in (
-            (15, 0.35, 4, None, "decision", 0, 8853, 2),  # 22,259 nodes in id order
-            (15, 0.35, 4, None, "count", 166, 121510, 6),  # 844,813 in id order
+            (15, 0.35, 4, None, "decision", 0, 6831, 2),  # 19,606 nodes in id order
+            (15, 0.35, 4, None, "count", 166, 96633, 6),  # 777,800 in id order
             (34, 0.2, 2, RoleGraph(2, [(1, 1), (1, 2)]), "count", 962, 37504, 5),  # 252,586 in id order
         ):
             rng = random.Random(5)

@@ -73,24 +73,21 @@ def decide_chain3(g: Graph) -> ChainDecision:
         return ChainDecision(False, NONE)
 
     if not is_connected(g):
-        cert = _color_disconnected(g)
+        cert = _color_disconnected(g, bp)
         return _finish(g, DISCONNECTED, "edgeless" if g.m == 0 else "one-edged-component", cert)
 
-    orientations = [
-        ("", Bipartition(bp.partX, bp.partY)),
-        ("-swapped", Bipartition(bp.partY, bp.partX)),
-    ]
+    orientations = [("", bp), ("-swapped", Bipartition(bp.partY, bp.partX))]
     for tag, obp in orientations:
         if len(obp.partX) == 1:
             cert = _color_singleton(g, obp)
             return _finish(g, SINGLETON_SIDE, "center" + tag, cert)
-    for tag, obp in orientations:
-        cs = chain_structure(g, obp)
+    # every later case reads the chain structure of one or both orientations
+    structured = [(tag, obp, chain_structure(g, obp)) for tag, obp in orientations]
+    for tag, obp, cs in structured:
         if len(obp.partX) == 2 and len(cs.universalX) == 2:
             cert = _color_two_universal(g, obp)
             return _finish(g, TWO_UNIVERSAL, "both-universal" + tag, cert)
-    for tag, obp in orientations:
-        cs = chain_structure(g, obp)
+    for tag, obp, cs in structured:
         nx, ny = len(obp.partX), len(obp.partY)
         if nx == 2 and ny > 2 and ny - len(cs.pendantY) > 1:
             if cs.pendantY:
@@ -102,8 +99,7 @@ def decide_chain3(g: Graph) -> ChainDecision:
             return _finish(g, TWO_SIDE_WITH_TAIL, sub + tag, cert)
 
     if len(bp.partX) >= 3 and len(bp.partY) >= 3:
-        cs = chain_structure(g, bp)
-        cert, sub = _color_both_large(g, bp, cs)
+        cert, sub = _color_both_large(g, bp, structured[0][2])
         return _finish(g, BOTH_SIDES_LARGE, sub, cert)
 
     return ChainDecision(False, NONE)
@@ -132,7 +128,7 @@ def _finish(g, case_id, sub, cert) -> ChainDecision:
     )
 
 
-def _color_disconnected(g: Graph) -> RoleColoring:
+def _color_disconnected(g: Graph, bp: Bipartition) -> RoleColoring:
     colors = [3] * g.n
     if g.m == 0:
         colors[0] = 1
@@ -140,9 +136,8 @@ def _color_disconnected(g: Graph) -> RoleColoring:
         return RoleColoring(tuple(colors), 3)
     # exactly one component carries edges (two would make a 2K2)
     edged = next(c for c in connected_components(g) if len(c) > 1)
-    sub_bp = bipartition(g)
     for v in edged:
-        colors[v] = 1 if v in sub_bp.partX else 2
+        colors[v] = 1 if v in bp.partX else 2
     return RoleColoring(tuple(colors), 3)
 
 

@@ -2,7 +2,10 @@
 
 Exit codes: 0 = yes/valid, 1 = no/invalid, 2 = usage/parse/precondition error,
 3 = search budget exceeded. With --json a single JSON object is printed on
-stdout; errors always go to stderr with an "error:" prefix.
+stdout; errors always go to stderr with an "error:" prefix. `run` is the one
+place that maps a refused input to exit 2: a fault in an input file reads
+"error: <path>: line N: ...", and a library precondition (a ValueError) reads
+"error: <message>".
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from .roles import (
     parse_coloring,
     parse_role_graph,
     verify_k_role,
-    verify_r_role,
 )
 from .solver import (
     BUDGET_EXCEEDED,
@@ -41,19 +43,16 @@ class _CliError(Exception):
     pass
 
 
-def _read(path: str) -> str:
+def _load(path: str, parse):
+    """Read the file at path and parse it; a fault in the file names the path."""
     try:
         with open(path, encoding="utf-8") as f:
-            return f.read()
+            text = f.read()
+        return parse(text)
     except OSError as e:
         raise _CliError(str(e))
     except UnicodeDecodeError as e:
         raise _CliError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})")
-
-
-def _load_graph(path: str):
-    try:
-        return parse_graph(_read(path))
     except GraphFormatError as e:
         raise _CliError(f"{path}: {e}")
 
@@ -66,39 +65,46 @@ def _emit(args, payload: dict, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _violation_obj(v):
-    return {"kind": v.kind, "detail": v.describe()}
-
-
 def _verify(args, g, path: str) -> int:
     """Check the coloring file at path as a k-role coloring of g."""
-    try:
-        c = parse_coloring(_read(path), args.k)
-        bad = verify_k_role(g, c)
-    except (GraphFormatError, ValueError) as e:
-        raise _CliError(str(e))
+    bad = verify_k_role(g, _load(path, lambda text: parse_coloring(text, args.k)))
     if bad is None:
         _emit(args, {"answer": "valid", "stats": {}}, "valid\n")
         return EXIT_YES
     _emit(
         args,
-        {"answer": "invalid", "violation": _violation_obj(bad), "stats": {}},
+        {"answer": "invalid", "violation": {"kind": bad.kind, "detail": bad.describe()}, "stats": {}},
         f"invalid: {bad.describe()}\n",
     )
     return EXIT_NO
 
 
+def _report(args, res) -> int:
+    """Print a search result and return its exit code."""
+    payload = {
+        "answer": res.status,
+        "stats": {"nodes": res.nodes, "order": res.order, "leaves_rejected": res.leaves_rejected},
+    }
+    lines = [res.status]
+    if res.certificate is not None:
+        payload["certificate"] = list(res.certificate.assignment)
+        lines.append(emit_coloring(res.certificate).strip())
+    if res.count is not None:
+        payload["count"] = res.count
+        lines.append(f"count {res.count}")
+    _emit(args, payload, "\n".join(lines) + "\n")
+    if res.status == BUDGET_EXCEEDED:
+        return EXIT_BUDGET
+    return EXIT_YES if res.status == YES else EXIT_NO
+
+
 def _cmd_verify(args) -> int:
-    return _verify(args, _load_graph(args.graph), args.coloring)
+    return _verify(args, _load(args.graph, parse_graph), args.coloring)
 
 
 def _cmd_rolegraph(args) -> int:
-    g = _load_graph(args.graph)
-    try:
-        c = parse_coloring(_read(args.coloring))
-        r = extract_role_graph(g, c)
-    except (GraphFormatError, ValueError) as e:
-        raise _CliError(str(e))
+    g = _load(args.graph, parse_graph)
+    r = extract_role_graph(g, _load(args.coloring, parse_coloring))
     _emit(
         args,
         {
@@ -111,63 +117,21 @@ def _cmd_rolegraph(args) -> int:
     return EXIT_YES
 
 
-def _result_exit(res) -> int:
-    if res.status == BUDGET_EXCEEDED:
-        return EXIT_BUDGET
-    return EXIT_YES if res.status == YES else EXIT_NO
-
-
-def _solve_payload(res) -> dict:
-    stats = {"nodes": res.nodes, "order": res.order, "leaves_rejected": res.leaves_rejected}
-    payload = {"answer": res.status, "stats": stats}
-    if res.certificate is not None:
-        payload["certificate"] = list(res.certificate.assignment)
-    if res.count is not None:
-        payload["count"] = res.count
-    return payload
-
-
-def _solve_text(res) -> str:
-    lines = [res.status]
-    if res.certificate is not None:
-        lines.append(emit_coloring(res.certificate).strip())
-    if res.count is not None:
-        lines.append(f"count {res.count}")
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_solve(args) -> int:
-    g = _load_graph(args.graph)
+    g = _load(args.graph, parse_graph)
     if args.check_certificate:
         return _verify(args, g, args.check_certificate)
-    try:
-        res = solve_k_role(g, args.k, mode=args.mode, budget=args.budget)
-    except ValueError as e:
-        raise _CliError(str(e))
-    _emit(args, _solve_payload(res), _solve_text(res))
-    return _result_exit(res)
+    return _report(args, solve_k_role(g, args.k, mode=args.mode, budget=args.budget))
 
 
 def _cmd_rrole(args) -> int:
-    g = _load_graph(args.graph)
-    try:
-        r = parse_role_graph(_read(args.rolegraph))
-    except GraphFormatError as e:
-        raise _CliError(f"{args.rolegraph}: {e}")
-    try:
-        res = solve_r_role(g, r, mode=args.mode, budget=args.budget)
-    except ValueError as e:
-        raise _CliError(str(e))
-    _emit(args, _solve_payload(res), _solve_text(res))
-    return _result_exit(res)
+    g = _load(args.graph, parse_graph)
+    r = _load(args.rolegraph, parse_role_graph)
+    return _report(args, solve_r_role(g, r, mode=args.mode, budget=args.budget))
 
 
 def _cmd_chain3(args) -> int:
-    g = _load_graph(args.graph)
-    try:
-        dec = chain3_mod.decide_chain3(g)
-    except (chain3_mod.NotBipartiteError, chain3_mod.NotChainError) as e:
-        raise _CliError(str(e))
+    dec = chain3_mod.decide_chain3(_load(args.graph, parse_graph))
     payload = {
         "answer": "yes" if dec.answer else "no",
         "case": dec.caseId,
@@ -186,7 +150,7 @@ def _cmd_chain3(args) -> int:
 
 
 def _cmd_recognize(args) -> int:
-    g = _load_graph(args.graph)
+    g = _load(args.graph, parse_graph)
     bp = bipartition(g)
     rec: dict = {"n": g.n, "m": g.m}
     if not bp:
@@ -228,24 +192,21 @@ def _cmd_recognize(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    try:
-        if args.gadget == "almost":
-            g = _load_graph(args.input)
-            if args.pivot is None:
-                raise _CliError("reduce almost requires --pivot")
-            gg = reductions.build_almost_bipartite(g, args.pivot)
+    if args.gadget == "almost":
+        g = _load(args.input, parse_graph)
+        if args.pivot is None:
+            raise _CliError("reduce almost requires --pivot")
+        gg = reductions.build_almost_bipartite(g, args.pivot)
+    else:
+        h = _load(args.input, reductions.parse_hypergraph)
+        if args.gadget == "k3":
+            gg = reductions.build_k3_instance(h)
+        elif args.gadget == "k4":
+            gg = reductions.build_k4_instance(h)
         else:
-            h = reductions.parse_hypergraph(_read(args.input))
-            if args.gadget == "k3":
-                gg = reductions.build_k3_instance(h)
-            elif args.gadget == "k4":
-                gg = reductions.build_k4_instance(h)
-            else:
-                if args.k is None:
-                    raise _CliError("reduce kpath requires --k")
-                gg = reductions.build_kpath_instance(h, args.k)
-    except (GraphFormatError, ValueError) as e:
-        raise _CliError(str(e))
+            if args.k is None:
+                raise _CliError("reduce kpath requires --k")
+            gg = reductions.build_kpath_instance(h, args.k)
     text = gg.to_text()
     if args.output:
         try:
@@ -270,18 +231,11 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_hgcolor(args) -> int:
-    try:
-        h = reductions.parse_hypergraph(_read(args.hypergraph))
-    except GraphFormatError as e:
-        raise _CliError(f"{args.hypergraph}: {e}")
-    try:
-        res = reductions.hypergraph_k_colorable(
-            h, args.k, mode=args.mode, budget=args.budget, require_surjective=not args.no_surjective
-        )
-    except ValueError as e:
-        raise _CliError(str(e))
-    _emit(args, _solve_payload(res), _solve_text(res))
-    return _result_exit(res)
+    h = _load(args.hypergraph, reductions.parse_hypergraph)
+    res = reductions.hypergraph_k_colorable(
+        h, args.k, mode=args.mode, budget=args.budget, require_surjective=not args.no_surjective
+    )
+    return _report(args, res)
 
 
 @functools.cache  # built once per process: parsing keeps no state between calls
@@ -289,6 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="rolecolor", description=__doc__)
     ap.add_argument("--json", action="store_true", help="emit a single JSON object")
     sub = ap.add_subparsers(dest="cmd", required=True)
+    search = argparse.ArgumentParser(add_help=False)  # flags shared by solve, rrole and hgcolor
+    search.add_argument("--mode", choices=["decision", "witness", "count"], default="witness")
+    search.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="most candidate colors to try")
 
     p = sub.add_parser("verify", help="check a k-role coloring")
     p.add_argument("graph")
@@ -301,19 +258,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("coloring")
     p.set_defaults(func=_cmd_rolegraph)
 
-    p = sub.add_parser("solve", help="exact k-role coloring search")
+    p = sub.add_parser("solve", parents=[search], help="exact k-role coloring search")
     p.add_argument("graph")
     p.add_argument("-k", type=int, required=True)
-    p.add_argument("--mode", choices=["decision", "witness", "count"], default="witness")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--check-certificate", metavar="COLORING", help="verify a coloring instead of searching")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("rrole", help="exact R-role coloring search")
+    p = sub.add_parser("rrole", parents=[search], help="exact R-role coloring search")
     p.add_argument("graph")
     p.add_argument("rolegraph")
-    p.add_argument("--mode", choices=["decision", "witness", "count"], default="witness")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_rrole)
 
     p = sub.add_parser("chain3", help="3-role decision for bipartite chain graphs")
@@ -332,11 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="write the gadget here instead of stdout")
     p.set_defaults(func=_cmd_reduce)
 
-    p = sub.add_parser("hgcolor", help="hypergraph k-coloring by backtracking")
+    p = sub.add_parser("hgcolor", parents=[search], help="hypergraph k-coloring by backtracking")
     p.add_argument("hypergraph")
     p.add_argument("-k", type=int, required=True)
-    p.add_argument("--mode", choices=["decision", "witness", "count"], default="witness")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="most candidate colors to try")
     p.add_argument("--no-surjective", action="store_true", help="drop the every-color-used requirement")
     p.set_defaults(func=_cmd_hgcolor)
 
@@ -344,13 +295,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
+    """Run one command; the one place a refused input becomes exit 2."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_ERROR if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except _CliError as e:
+    except (_CliError, ValueError) as e:  # ValueError covers GraphFormatError and every library precondition
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -344,11 +344,9 @@ class _Engine:
                 if v == n:
                     if self.n_used == k and self._leaf():
                         break
-                elif pruning and k - self.n_used > n - v:
-                    top[v] = 0
-                elif self.r is not None:
-                    top[v] = k
-                else:
+                elif self.r is not None:  # every role left unused needs a vertex of its own
+                    top[v] = 0 if pruning and k - self.n_used > n - v else k
+                else:  # k-role: the forced new color below keeps k - n_used <= n - v
                     top[v] = min(self.n_used + 1, k)
                     if pruning and k - self.n_used == n - v:
                         c = self.n_used  # every vertex left must open a new color: try only n_used + 1

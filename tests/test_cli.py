@@ -321,6 +321,8 @@ class TestUsage:
             ["rrole", "c4", "edge", "--budget", "-1"],
             ["hgcolor", "hg1", "-k", "2", "--budget", "-1"],
             ["hgcolor", "hg1", "-k", "0"],
+            ["reduce", "kpath", "hg1", "--k", "4"],
+            ["reduce", "almost", "tri", "--pivot", "0"],
         ],
     )
     def test_solver_argument_errors(self, files, capsys, argv):
@@ -338,6 +340,10 @@ class TestUsage:
             ("recognize", "1000001 0\n"),
             ("rrole", "1000001 0\n"),
             ("hgcolor", "1000001 0\n"),
+            ("verify", "1 2 x 2\n"),
+            ("rolegraph", "1 2 x 2\n"),
+            ("solve", "1 2 x 2\n"),
+            ("reduce", "1 1\n0\n"),
         ],
     )
     def test_malformed_file_is_usage_error(self, files, tmp_path, capsys, cmd, text):
@@ -347,6 +353,10 @@ class TestUsage:
             "recognize": ["recognize", str(p)],
             "rrole": ["rrole", files["c4"], str(p)],
             "hgcolor": ["hgcolor", str(p), "-k", "2"],
+            "verify": ["verify", files["c4"], str(p), "-k", "2"],
+            "rolegraph": ["rolegraph", files["c4"], str(p)],
+            "solve": ["solve", files["c4"], "-k", "2", "--check-certificate", str(p)],
+            "reduce": ["reduce", "k3", str(p)],
         }[cmd]
         assert run(argv) == 2
         err = capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass, field
 
@@ -203,8 +204,8 @@ def _edge_record(toks: list) -> tuple:
 # A plain edge list: a header "n m", then lines "u v", every number written in
 # ASCII digits, one space between the two and nothing else on the line.
 _PLAIN_HEADER = re.compile(r"([0-9]+) ([0-9]+)\r?(?:\n|\Z)")
-_PLAIN_EDGES = re.compile(r"(?:[0-9]+ [0-9]+\r?\n)*(?:[0-9]+ [0-9]+\r?)?")
-_SLICE = 1 << 16  # characters per bulk slice: bounds the token lists held at once
+_NO_DIGITS = str.maketrans("", "", "0123456789")
+_SLICE = 1 << 16  # characters per bulk slice: bounds the copies and lists held at once
 
 
 def _slices(text: str, start: int):
@@ -223,15 +224,13 @@ def _read_plain_edges(text: str) -> Graph | None:
     range, a self-loop, a duplicate edge), returns None, so the line reader
     decides every other text and reports every error at its line. The body is
     read in slices that end at a newline, and every adjacency set shares one
-    int object per vertex. The layout is checked first, a slice at a time: the
-    regex keeps one backtracking entry per repeat, about 46 MB on a whole
-    2e5-line text.
+    int object per vertex. A slice has the layout when deleting its digits
+    leaves exactly " \n" per line; the JSON scanner then converts all its
+    numbers at once, and refuses an empty number, a leading zero ("01") and a
+    number longer than int() converts, which the line reader then decides.
     """
     head = _PLAIN_HEADER.match(text)
-    if head is None or "#" in text:  # the layout has no "#": decline comments before the slice scan
-        return None
-    slices = list(_slices(text, head.end()))
-    if not all(_PLAIN_EDGES.fullmatch(text, start, end) for start, end in slices):
+    if head is None or "#" in text:  # the layout has no "#": decline comments before any slice
         return None
     try:
         n, m = map(int, head.groups())
@@ -242,17 +241,21 @@ def _read_plain_edges(text: str) -> Graph | None:
     ids = list(range(n)).__getitem__
     adj = [[] for _ in range(n)]
     records = 0
-    for start, end in slices:
-        toks = text[start:end].split()
+    for start, end in _slices(text, head.end()):
+        chunk = text[start:end].replace("\r\n", "\n")
+        if chunk[-1] == "\n":
+            chunk = chunk[:-1]
+        if chunk.translate(_NO_DIGITS) != " \n" * chunk.count("\n") + " ":
+            return None
         try:
-            us = list(map(int, toks[0::2]))
-            vs = list(map(int, toks[1::2]))
+            nums = json.loads("[" + chunk.replace(" ", ",").replace("\n", ",") + "]")
         except ValueError:
             return None
-        records += len(us)
-        if max(max(us), max(vs)) >= n:
+        records += len(nums) // 2
+        if max(nums) >= n:
             return None
-        for u, v in zip(map(ids, us), map(ids, vs)):
+        it = map(ids, nums)
+        for u, v in zip(it, it):
             adj[u].append(v)
             adj[v].append(u)
     adj = _frozen(adj)
@@ -275,14 +278,11 @@ def is_connected(g: Graph) -> bool:
     """True iff g has at most one connected component. The empty graph is connected."""
     if g.n == 0:
         return True
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for w in g.adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
+    adj = g.adj
+    seen, frontier = {0}, {0}
+    while frontier:  # a BFS level at a time, as in bipartition
+        frontier = set().union(*map(adj.__getitem__, frontier)) - seen
+        seen |= frontier
     return len(seen) == g.n
 
 

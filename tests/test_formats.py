@@ -267,7 +267,9 @@ def test_bulk_reader_takes_plain_edge_lists(text, ending, last):
 # reader must still decide, with the same graph or the same message and line.
 CUT = BIG.index("\n", BIG.index("\n") + 1 + _SLICE) + 1
 NEXT = BIG.index("\n", CUT) + 1
+AFTER = BIG.index("\n", NEXT) + 1
 A, B = BIG[CUT:NEXT].split()
+C, D = BIG[NEXT:AFTER].split()
 FIRST_EDGE = BIG.splitlines()[1].split()
 ABSENT = next(f"0 {v}" for v in range(1, 700) if f"\n0 {v}\n" not in BIG and f"\n{v} 0\n" not in BIG)
 
@@ -282,6 +284,7 @@ FAULTS = {
     "over": f"{A} {B}\n{ABSENT}\n",  # one record too many
     "over-by-a-repeat": f"{A} {B}\n{B} {A}\n",  # one too many, and still m distinct edges
     "three": "0 1 2\n",
+    "long": "1" * 5000 + " 0\n",  # more digits than int() converts, 4300 by default
 }
 LAYOUTS = {
     "comment": f"# note\n{A} {B}\n",
@@ -290,12 +293,16 @@ LAYOUTS = {
     "tab": f"{A}\t{B}\n",
     "two-spaces": f"{A}  {B}\n",
     "plus": f"+{A} {B}\n",
+    "leading-zero": f"0{A} {B}\n",
 }
+TEXTS = {name: BIG[:CUT] + lines + BIG[NEXT:] for name, lines in {**FAULTS, **LAYOUTS}.items()}
+# "A B C" and "D" replace "A B" and "C D": the record, space and token totals still match
+TEXTS["three-then-one"] = BIG[:CUT] + f"{A} {B} {C}\n{D}\n" + BIG[AFTER:]
 
 
-@pytest.mark.parametrize("name", [*FAULTS, *LAYOUTS])
+@pytest.mark.parametrize("name", TEXTS)
 def test_bulk_reader_leaves_other_texts_to_the_line_reader(name):
-    text = BIG[:CUT] + {**FAULTS, **LAYOUTS}[name] + BIG[NEXT:]
+    text = TEXTS[name]
     assert _read_plain_edges(text) is None
     want = outcome(read_by_lines, text)
     assert isinstance(want, Graph) == (name in LAYOUTS)
@@ -318,3 +325,17 @@ def test_isolated_vertices_share_one_empty_set():
             tracemalloc.stop()
         assert kept < 4 * 2**20, read.__name__  # an empty frozenset per vertex keeps about 22 MB
     assert graphs[0] == graphs[1]
+
+
+def test_bulk_reader_holds_no_copy_of_the_whole_text():
+    # K_{400,500}: 2e5 lines, 1.6 MB of text. The adjacency lists hold about
+    # 3.5 MB until they are frozen; a copy of the whole text adds 1.6 MB more.
+    text = "900 200000\n" + "".join(f"{u} {v}\n" for u in range(400) for v in range(400, 900))
+    tracemalloc.start()
+    try:
+        g = _read_plain_edges(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g is not None and g.m == 200000
+    assert peak - kept < 4.25 * 2**20

@@ -151,6 +151,12 @@ class TestConnectivity:
         assert not is_connected(g)
         assert connected_components(g) == [[0], [1], [2]]
 
+    def test_matches_components_on_random_graphs(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(1, 10), rng.random() * 0.5)
+            assert is_connected(g) == (len(connected_components(g)) == 1)
+
 
 class TestBipartition:
     def test_path_bipartition(self, p4):

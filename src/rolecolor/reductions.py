@@ -59,29 +59,11 @@ class Hypergraph:
 
     def is_connected(self) -> bool:
         """Connected in the incidence sense: every vertex covered, one component."""
-        if self.n == 0:
-            return True
         if not self.edges:
             return self.n <= 1
-        covered = set().union(*self.edges)
-        if len(covered) != self.n:
-            return False
-        comp = set(self.edges[0])
-        pending = list(self.edges[1:])
-        while True:
-            rest = []
-            grown = False
-            for e in pending:
-                if e & comp:
-                    comp |= e
-                    grown = True
-                else:
-                    rest.append(e)
-            pending = rest
-            if not pending:
-                return True
-            if not grown:
-                return False
+        if sum(map(len, self.edges)) < self.n + self.m - 1:
+            return False  # too few incidences to span the incidence graph
+        return is_connected(incidence_graph(self).graph)
 
     def __repr__(self):
         return f"Hypergraph(n={self.n}, m={self.m})"
@@ -137,32 +119,31 @@ class GadgetGraph:
         return "\n".join(out) + "\n"
 
 
-def incidence_graph(h: Hypergraph) -> GadgetGraph:
-    """Canonical incidence graph: Q keeps its ids, hyperedge j becomes vertex n+j."""
+def _incidence(h: Hypergraph, three_uniform: bool = False) -> tuple[list, list]:
+    """Edge and tag lists of incidence_graph(h), for a gadget to extend."""
+    if three_uniform and not h.is_uniform(3):
+        raise ValueError("hypergraph must be 3-uniform")
     if h.m == 0:
         raise ValueError("hypergraph has no hyperedges")
     nq = h.n
     edges = [(q, nq + j) for j, e in enumerate(h.edges) for q in e]
     tags = [("Q", i) for i in range(nq)] + [("S", j) for j in range(h.m)]
-    return GadgetGraph(Graph(nq + h.m, edges), tuple(tags), "incidence")
+    return edges, tags
 
 
-def _require_3uniform(h: Hypergraph):
-    if not h.is_uniform(3):
-        raise ValueError("hypergraph must be 3-uniform")
+def incidence_graph(h: Hypergraph) -> GadgetGraph:
+    """Canonical incidence graph: Q keeps its ids, hyperedge j becomes vertex n+j."""
+    edges, tags = _incidence(h)
+    return GadgetGraph(Graph(h.n + h.m, edges), tuple(tags), "incidence")
 
 
 def build_k3_instance(h: Hypergraph) -> GadgetGraph:
     """Incidence graph plus a two-vertex pendant path q - b_q - a_q per q."""
-    _require_3uniform(h)
-    base = incidence_graph(h)
-    nq, ns = h.n, h.m
-    off = nq + ns
-    edges = list(base.graph.edges)
-    tags = list(base.role_of)
-    for q in range(nq):
-        edges.append((q, off + q))  # b_q
-        edges.append((off + q, off + nq + q))  # a_q
+    edges, tags = _incidence(h, three_uniform=True)
+    nq = h.n
+    off = nq + h.m
+    edges += [(q, off + q) for q in range(nq)]  # b_q
+    edges += [(off + q, off + nq + q) for q in range(nq)]  # a_q
     tags += [("Bq", q) for q in range(nq)]
     tags += [("Aq", q) for q in range(nq)]
     return GadgetGraph(Graph(off + 2 * nq, edges), tuple(tags), "k3", k=3)
@@ -170,14 +151,10 @@ def build_k3_instance(h: Hypergraph) -> GadgetGraph:
 
 def build_k4_instance(h: Hypergraph) -> GadgetGraph:
     """Incidence graph plus one pendant vertex per hyperedge vertex."""
-    _require_3uniform(h)
-    base = incidence_graph(h)
+    edges, tags = _incidence(h, three_uniform=True)
     nq, ns = h.n, h.m
     off = nq + ns
-    edges = list(base.graph.edges)
-    tags = list(base.role_of)
-    for j in range(ns):
-        edges.append((nq + j, off + j))
+    edges += [(nq + j, off + j) for j in range(ns)]
     tags += [("PendantS", j) for j in range(ns)]
     return GadgetGraph(Graph(off + ns, edges), tuple(tags), "k4", k=4)
 
@@ -186,19 +163,14 @@ def build_kpath_instance(h: Hypergraph, k: int) -> GadgetGraph:
     """Incidence graph plus a pendant path of k-3 vertices hanging off each s."""
     if k < 5:
         raise ValueError("pendant-path gadget requires k >= 5")
-    _require_3uniform(h)
-    base = incidence_graph(h)
+    edges, tags = _incidence(h, three_uniform=True)
     nq, ns = h.n, h.m
     off = nq + ns
     plen = k - 3
-    edges = list(base.graph.edges)
-    tags = list(base.role_of)
-    for j in range(ns):
-        ids = [off + j * plen + (pos - 1) for pos in range(1, plen + 1)]
-        for a, b in zip(ids, ids[1:]):
-            edges.append((a, b))
-        edges.append((ids[-1], nq + j))  # (p^s_{k-3}, s)
-        tags += [("PathS", j, pos) for pos in range(1, plen + 1)]
+    ends = range(off + plen - 1, off + ns * plen, plen)  # p^s_{k-3} per s
+    edges += [(v, v + 1) for end in ends for v in range(end - plen + 1, end)]
+    edges += [(end, nq + j) for j, end in enumerate(ends)]
+    tags += [("PathS", j, pos) for j in range(ns) for pos in range(1, plen + 1)]
     return GadgetGraph(Graph(off + ns * plen, edges), tuple(tags), "kpath", k=k)
 
 
@@ -229,7 +201,8 @@ def build_almost_bipartite(g: Graph, x: int) -> GadgetGraph:
     if g.m == 0:
         raise ValueError("graph must have at least one edge")
     y, a, b, c, d = range(g.n, g.n + 5)
-    edges = list(g.edges) + [(y, u) for u in g.adj[x]]
+    edges = [(u, v) for u, nb in enumerate(g.adj) for v in nb if u < v]
+    edges += [(y, u) for u in g.adj[x]]
     edges += [(y, a), (a, c), (a, b), (a, d), (b, d)]
     tags = [("Pivot",) if v == x else ("Orig",) for v in range(g.n)]
     tags += [("Twin",), ("GadgetA",), ("GadgetB",), ("GadgetC",), ("GadgetD",)]

@@ -10,7 +10,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from itertools import filterfalse
 
-from .graph import MAX_HEADER_COUNT, Graph, _edge_record, _read_records
+from .graph import MAX_HEADER_COUNT, Graph, _edge_record, _read_records, is_connected
 
 
 @dataclass(frozen=True)
@@ -73,18 +73,11 @@ class RoleGraph:
         return len(self.neighbors(c))
 
     def is_connected(self) -> bool:
-        # loops never connect distinct colors
-        if self.colors == 0:
-            return True
-        seen = {1}
-        stack = [1]
-        while stack:
-            c = stack.pop()
-            for d in self.neighbors(c):
-                if d != c and d not in seen:
-                    seen.add(d)
-                    stack.append(d)
-        return len(seen) == self.colors
+        # loops never connect distinct colors; a color without neighbors stands
+        # alone, and answering that first keeps a wide color range cheap
+        if self.colors > 1 and len(self._nbr) < self.colors:
+            return False
+        return is_connected(Graph(self.colors, [(a - 1, b - 1) for a, b in self.edges if a != b]))
 
     def __eq__(self, other):
         return (

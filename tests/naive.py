@@ -384,6 +384,34 @@ def check_role_connectivity(g: Graph, c: RoleColoring, r: RoleGraph) -> bool:
     return r.is_connected()
 
 
+def naive_hypergraph_connected(h: Hypergraph) -> bool:
+    """Every vertex covered, and the hyperedges joined into one component by
+    growing it with each hyperedge that meets it until nothing changes."""
+    if h.n == 0:
+        return True
+    if not h.edges:
+        return h.n <= 1
+    covered = set().union(*h.edges)
+    if len(covered) != h.n:
+        return False
+    comp = set(h.edges[0])
+    pending = list(h.edges[1:])
+    while True:
+        rest = []
+        grown = False
+        for e in pending:
+            if e & comp:
+                comp |= e
+                grown = True
+            else:
+                rest.append(e)
+        pending = rest
+        if not pending:
+            return True
+        if not grown:
+            return False
+
+
 def is_non_monochromatic(h: Hypergraph, beta: RoleColoring) -> bool:
     return all(len({beta.assignment[q] for q in e}) > 1 for e in h.edges)
 

@@ -294,6 +294,18 @@ class TestHgcolor:
         assert time.perf_counter() - start < 1.0
         assert code == 1 and payload["stats"]["nodes"] == 0
 
+    @pytest.mark.parametrize(
+        "flags, code, answer, count",
+        [([], 1, "no", 0), (["--no-surjective"], 0, "yes", 60)],
+    )
+    def test_no_surjective_count(self, files, capsys, flags, code, answer, count):
+        # k = 4 on three vertices: no map is onto, but 4^3 - 4 maps keep the edge non-monochromatic
+        argv = ["hgcolor", files["hg1"], "-k", "4", "--mode", "count", *flags]
+        assert run(argv) == code
+        assert capsys.readouterr().out == f"{answer}\ncount {count}\n"
+        got, payload = run_json(capsys, argv)
+        assert (got, payload["answer"], payload["count"]) == (code, answer, count)
+
 
 class TestUsage:
     def test_no_value_carries_over_between_runs(self, files, capsys):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -22,7 +23,12 @@ from rolecolor import (
     verify_k_role,
 )
 from generators import fano_plane, random_connected_hypergraph
-from naive import is_non_monochromatic, naive_hypergraph_colorable, naive_hypergraph_k_colorable
+from naive import (
+    is_non_monochromatic,
+    naive_hypergraph_colorable,
+    naive_hypergraph_connected,
+    naive_hypergraph_k_colorable,
+)
 
 
 def single_edge_hg():
@@ -46,6 +52,31 @@ class TestHypergraph:
         assert not Hypergraph(4, [{0, 1, 2}]).is_connected()  # vertex 3 uncovered
         assert not Hypergraph(6, [{0, 1, 2}, {3, 4, 5}]).is_connected()
         assert Hypergraph(5, [{0, 1, 2}, {2, 3, 4}]).is_connected()
+
+    def test_connectivity_matches_fixpoint(self):
+        rng = random.Random(41)
+        cases = [Hypergraph(0, []), Hypergraph(1, []), Hypergraph(2, []), Hypergraph(1, [{0}])]
+        for _ in range(400):
+            n = rng.randint(0, 8)
+            sizes = [rng.randint(1, min(n, 4)) for _ in range(rng.randint(0, 5) if n else 0)]
+            cases.append(Hypergraph(n, [rng.sample(range(n), t) for t in sizes]))
+        seen = set()
+        for h in cases:
+            want = naive_hypergraph_connected(h)
+            assert h.is_connected() == want, (h.n, h.edges)
+            seen.add(want)
+        assert seen == {True, False}
+
+    def test_connectivity_with_wide_vertex_range_is_cheap(self):
+        # an incidence graph on all 10^5 vertices would take about 20 MB of sets
+        h = Hypergraph(10**5, [{0, 1, 2}])
+        tracemalloc.start()
+        try:
+            connected = h.is_connected()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not connected and peak < 2**20
 
     def test_rejects_bad_edges(self):
         with pytest.raises(ValueError, match="empty"):
@@ -226,6 +257,65 @@ class TestGadgetShapes:
         assert gg.to_text() == gg.to_text()
         assert "# tag 0 Q[0]" in gg.to_text()
         assert "# tag 3 S[0]" in gg.to_text()
+
+
+class TestGadgetLayout:
+    """Exact vertex ids, edges and tags of every gadget."""
+
+    H = Hypergraph(5, [{0, 1, 2}, {2, 3, 4}])
+    INCIDENCE = "0 5\n1 5\n2 5\n2 6\n3 6\n4 6\n"
+    QS_TAGS = "".join(f"# tag {q} Q[{q}]\n" for q in range(5)) + "# tag 5 S[0]\n# tag 6 S[1]\n"
+
+    def test_incidence(self):
+        assert incidence_graph(self.H).to_text() == "7 6\n" + self.INCIDENCE + self.QS_TAGS
+
+    def test_k3(self):
+        assert build_k3_instance(self.H).to_text() == (
+            "17 16\n"
+            "0 5\n0 7\n1 5\n1 8\n2 5\n2 6\n2 9\n3 6\n3 10\n4 6\n4 11\n"
+            "7 12\n8 13\n9 14\n10 15\n11 16\n"
+            + self.QS_TAGS
+            + "# tag 7 Bq[0]\n# tag 8 Bq[1]\n# tag 9 Bq[2]\n# tag 10 Bq[3]\n# tag 11 Bq[4]\n"
+            "# tag 12 Aq[0]\n# tag 13 Aq[1]\n# tag 14 Aq[2]\n# tag 15 Aq[3]\n# tag 16 Aq[4]\n"
+        )
+
+    def test_k4(self):
+        assert build_k4_instance(self.H).to_text() == (
+            "9 8\n" + self.INCIDENCE + "5 7\n6 8\n"
+            + self.QS_TAGS
+            + "# tag 7 PendantS[0]\n# tag 8 PendantS[1]\n"
+        )
+
+    def test_kpath_k6(self):
+        assert build_kpath_instance(self.H, 6).to_text() == (
+            "13 12\n" + self.INCIDENCE + "5 9\n6 12\n7 8\n8 9\n10 11\n11 12\n"
+            + self.QS_TAGS
+            + "# tag 7 PathS[0,1]\n# tag 8 PathS[0,2]\n# tag 9 PathS[0,3]\n"
+            "# tag 10 PathS[1,1]\n# tag 11 PathS[1,2]\n# tag 12 PathS[1,3]\n"
+        )
+
+    def test_almost_bipartite_c4(self, c4):
+        assert build_almost_bipartite(c4, 0).to_text() == (
+            "9 11\n"
+            "0 1\n0 3\n1 2\n1 4\n2 3\n3 4\n4 5\n5 6\n5 7\n5 8\n6 8\n"
+            "# tag 0 Pivot\n# tag 1 Orig\n# tag 2 Orig\n# tag 3 Orig\n# tag 4 Twin\n"
+            "# tag 5 GadgetA\n# tag 6 GadgetB\n# tag 7 GadgetC\n# tag 8 GadgetD\n"
+        )
+
+    def test_almost_bipartite_leaves_input_edges_unbuilt(self, c4):
+        build_almost_bipartite(c4, 0)
+        assert c4._edges is None
+
+    def test_error_order(self):
+        # k is checked before uniformity, and uniformity before emptiness
+        with pytest.raises(ValueError, match="k >= 5"):
+            build_kpath_instance(Hypergraph(2, [{0, 1}]), 4)
+        empty = Hypergraph(3, [])
+        for build in (build_k3_instance, build_k4_instance, lambda h: build_kpath_instance(h, 5)):
+            with pytest.raises(ValueError, match="3-uniform"):
+                build(Hypergraph(4, [{0, 1, 2}, {2, 3}]))
+            with pytest.raises(ValueError, match="no hyperedges"):
+                build(empty)
 
 
 class TestLifts:

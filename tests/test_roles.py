@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -47,6 +48,25 @@ class TestRoleGraph:
         assert RoleGraph(2, [(1, 2)]).is_connected()
         assert RoleGraph(1, [(1, 1)]).is_connected()
 
+    def test_connectivity_matches_networkx(self):
+        import networkx as nx
+
+        rng = random.Random(43)
+        graphs = [RoleGraph(0), RoleGraph(1), RoleGraph(1, [(1, 1)])]
+        for _ in range(300):
+            colors = rng.randint(0, 7)
+            pairs = [(rng.randint(1, colors), rng.randint(1, colors)) for _ in range(rng.randint(0, 8) if colors else 0)]
+            graphs.append(RoleGraph(colors, pairs))
+        seen = set()
+        for r in graphs:
+            nxg = nx.Graph()
+            nxg.add_nodes_from(range(1, r.colors + 1))
+            nxg.add_edges_from(r.edges)  # networkx keeps loops, and they join nothing
+            want = r.colors == 0 or nx.is_connected(nxg)
+            assert r.is_connected() == want, r
+            seen.add(want)
+        assert seen == {True, False}
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             RoleGraph(2, [(1, 3)])
@@ -56,7 +76,13 @@ class TestRoleGraph:
         r = RoleGraph(10**6, [(1, 2), (10**6, 10**6)])
         assert r.neighbors(3) == frozenset() and r.degree(3) == 0
         assert r.neighbors(10**6) == frozenset({10**6})
-        assert not r.is_connected()
+        tracemalloc.start()
+        try:
+            connected = r.is_connected()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not connected and peak < 2**20  # not a set per color
         assert len(r._nbr) == 3
 
 

@@ -157,7 +157,7 @@ def _color_two_universal(g: Graph, bp: Bipartition) -> RoleColoring:
     return RoleColoring(tuple(colors), 3)
 
 
-def _two_side_roles(g: Graph, bp: Bipartition, cs: ChainStructure):
+def _two_side_roles(bp: Bipartition, cs: ChainStructure):
     """Split X = {u, v} with u universal (break ties toward the smaller id)."""
     xs = sorted(bp.partX)
     if xs[0] in cs.universalX:
@@ -166,7 +166,7 @@ def _two_side_roles(g: Graph, bp: Bipartition, cs: ChainStructure):
 
 
 def _color_two_side_no_pendants(g: Graph, bp: Bipartition, cs: ChainStructure) -> RoleColoring:
-    u, v = _two_side_roles(g, bp, cs)
+    u, v = _two_side_roles(bp, cs)
     colors = [2] * g.n
     colors[u] = 1
     colors[v] = 3
@@ -174,8 +174,8 @@ def _color_two_side_no_pendants(g: Graph, bp: Bipartition, cs: ChainStructure) -
 
 
 def _color_two_side_tail(g: Graph, bp: Bipartition, cs: ChainStructure) -> RoleColoring:
-    u, v = _two_side_roles(g, bp, cs)
-    t = min(g.adj[v] & cs.degreeTwoY)
+    u, v = _two_side_roles(bp, cs)
+    t = min(y for y in g.adj[v] if g.degree(y) == 2)
     colors = [0] * g.n
     colors[u] = colors[v] = 2
     for y in bp.partY:

@@ -2,10 +2,11 @@
 
 Exit codes: 0 = yes/valid, 1 = no/invalid, 2 = usage/parse/precondition error,
 3 = search budget exceeded. With --json a single JSON object is printed on
-stdout; errors always go to stderr with an "error:" prefix. `run` is the one
-place that maps a refused input to exit 2: a fault in an input file reads
-"error: <path>: line N: ...", and a library precondition (a ValueError) reads
-"error: <message>".
+stdout; errors go to stderr. `run` is the one place that maps a refused input
+to exit 2: a fault in an input file reads "error: <path>: line N: ...", and a
+library precondition (a ValueError) reads "error: <message>". A command line
+that argparse refuses (an unknown, misplaced or missing flag) prints the usage
+line and then "rolecolor ...: error: ...", also with exit 2.
 """
 
 from __future__ import annotations
@@ -65,20 +66,6 @@ def _emit(args, payload: dict, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _verify(args, g, path: str) -> int:
-    """Check the coloring file at path as a k-role coloring of g."""
-    bad = verify_k_role(g, _load(path, lambda text: parse_coloring(text, args.k)))
-    if bad is None:
-        _emit(args, {"answer": "valid", "stats": {}}, "valid\n")
-        return EXIT_YES
-    _emit(
-        args,
-        {"answer": "invalid", "violation": {"kind": bad.kind, "detail": bad.describe()}, "stats": {}},
-        f"invalid: {bad.describe()}\n",
-    )
-    return EXIT_NO
-
-
 def _report(args, res) -> int:
     """Print a search result and return its exit code."""
     payload = {
@@ -99,7 +86,17 @@ def _report(args, res) -> int:
 
 
 def _cmd_verify(args) -> int:
-    return _verify(args, _load(args.graph, parse_graph), args.coloring)
+    g = _load(args.graph, parse_graph)
+    bad = verify_k_role(g, _load(args.coloring, lambda text: parse_coloring(text, args.k)))
+    if bad is None:
+        _emit(args, {"answer": "valid", "stats": {}}, "valid\n")
+        return EXIT_YES
+    _emit(
+        args,
+        {"answer": "invalid", "violation": {"kind": bad.kind, "detail": bad.describe()}, "stats": {}},
+        f"invalid: {bad.describe()}\n",
+    )
+    return EXIT_NO
 
 
 def _cmd_rolegraph(args) -> int:
@@ -119,8 +116,6 @@ def _cmd_rolegraph(args) -> int:
 
 def _cmd_solve(args) -> int:
     g = _load(args.graph, parse_graph)
-    if args.check_certificate:
-        return _verify(args, g, args.check_certificate)
     return _report(args, solve_k_role(g, args.k, mode=args.mode, budget=args.budget))
 
 
@@ -193,10 +188,7 @@ def _cmd_recognize(args) -> int:
 
 def _cmd_reduce(args) -> int:
     if args.gadget == "almost":
-        g = _load(args.input, parse_graph)
-        if args.pivot is None:
-            raise _CliError("reduce almost requires --pivot")
-        gg = reductions.build_almost_bipartite(g, args.pivot)
+        gg = reductions.build_almost_bipartite(_load(args.input, parse_graph), args.pivot)
     else:
         h = _load(args.input, reductions.parse_hypergraph)
         if args.gadget == "k3":
@@ -204,8 +196,6 @@ def _cmd_reduce(args) -> int:
         elif args.gadget == "k4":
             gg = reductions.build_k4_instance(h)
         else:
-            if args.k is None:
-                raise _CliError("reduce kpath requires --k")
             gg = reductions.build_kpath_instance(h, args.k)
     text = gg.to_text()
     if args.output:
@@ -261,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", parents=[search], help="exact k-role coloring search")
     p.add_argument("graph")
     p.add_argument("-k", type=int, required=True)
-    p.add_argument("--check-certificate", metavar="COLORING", help="verify a coloring instead of searching")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("rrole", parents=[search], help="exact R-role coloring search")
@@ -278,12 +267,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_recognize)
 
     p = sub.add_parser("reduce", help="build a hardness gadget instance")
-    p.add_argument("gadget", choices=["k3", "k4", "kpath", "almost"])
-    p.add_argument("input")
-    p.add_argument("--k", type=int, help="target k for the kpath gadget (>= 5)")
-    p.add_argument("--pivot", type=int, help="pivot vertex for the almost-bipartite gadget")
-    p.add_argument("-o", "--output", help="write the gadget here instead of stdout")
-    p.set_defaults(func=_cmd_reduce)
+    gadgets = p.add_subparsers(dest="gadget", required=True)
+    gadget = argparse.ArgumentParser(add_help=False)  # arguments shared by every reduce gadget
+    gadget.add_argument("input")
+    gadget.add_argument("-o", "--output", help="write the gadget here instead of stdout")
+    gadget.set_defaults(func=_cmd_reduce)
+    gadgets.add_parser("k3", parents=[gadget], help="3-uniform hypergraph -> 3-role instance")
+    gadgets.add_parser("k4", parents=[gadget], help="3-uniform hypergraph -> 4-role instance")
+    p = gadgets.add_parser("kpath", parents=[gadget], help="3-uniform hypergraph -> k-role instance")
+    p.add_argument("--k", type=int, required=True, help="target k (>= 5)")
+    p = gadgets.add_parser("almost", parents=[gadget], help="bipartite graph -> almost-bipartite instance")
+    p.add_argument("--pivot", type=int, required=True, help="pivot vertex")
 
     p = sub.add_parser("hgcolor", parents=[search], help="hypergraph k-coloring by backtracking")
     p.add_argument("hypergraph")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class GraphFormatError(ValueError):
@@ -125,12 +125,10 @@ class Witness2K2:
 
 @dataclass(frozen=True)
 class ChainStructure:
-    bipartition: Bipartition
     universalX: frozenset
     universalY: frozenset
     pendantX: frozenset
     pendantY: frozenset
-    degreeTwoY: frozenset = field(default_factory=frozenset)
 
 
 MAX_HEADER_COUNT = 10**6  # largest vertex or color count a file may declare
@@ -387,11 +385,10 @@ def is_chain(g: Graph, bp: Bipartition):
 
 
 def chain_structure(g: Graph, bp: Bipartition) -> ChainStructure:
-    """Universal, pendant and (on the Y side) degree-two vertex sets of a chain graph."""
+    """Universal and pendant vertex sets of a chain graph, per side."""
     nx, ny = len(bp.partX), len(bp.partY)
     universalX = frozenset(v for v in bp.partX if g.degree(v) == ny)
     universalY = frozenset(v for v in bp.partY if g.degree(v) == nx)
     pendantX = frozenset(v for v in bp.partX if g.degree(v) == 1)
     pendantY = frozenset(v for v in bp.partY if g.degree(v) == 1)
-    degreeTwoY = frozenset(v for v in bp.partY if g.degree(v) == 2)
-    return ChainStructure(bp, universalX, universalY, pendantX, pendantY, degreeTwoY)
+    return ChainStructure(universalX, universalY, pendantX, pendantY)

@@ -102,7 +102,6 @@ class TestColorLimit:
         "argv",
         [
             ["verify", "c4", "good", "-k", str(10**6 + 1)],
-            ["solve", "c4", "-k", str(10**6 + 1), "--check-certificate", "good"],
             ["rolegraph", "c4", "huge"],
         ],
     )
@@ -140,15 +139,6 @@ class TestSolve:
     def test_budget_exit_code(self, files, capsys):
         code, payload = run_json(capsys, ["solve", files["c4"], "-k", "2", "--budget", "1"])
         assert code == 3 and payload["answer"] == "budget-exceeded"
-
-    def test_check_certificate_matches_verify(self, files, capsys):
-        # same exit code, stdout and stderr, for valid, invalid and unreadable colorings
-        for flags in ([], ["--json"]):
-            for col, code in (("good", 0), ("bad", 1), ("dir", 2)):
-                a = run([*flags, "solve", files["c4"], "-k", "2", "--check-certificate", files[col]])
-                a_out = capsys.readouterr()
-                b = run([*flags, "verify", files["c4"], files[col], "-k", "2"])
-                assert (a, a_out) == (b, capsys.readouterr()) and a == code
 
     def test_deep_path(self, files, tmp_path, capsys):
         # deeper than the interpreter's recursion limit
@@ -258,13 +248,16 @@ class TestReduce:
         out = capsys.readouterr().out
         assert "# tag 0 Q[0]" in out and "# tag 3 S[0]" in out
 
-    def test_kpath_requires_k(self, files, capsys):
+    def test_kpath_requires_k(self, files, capsys, tmp_path):
         assert run(["reduce", "kpath", files["hg1"]]) == 2
-        assert "requires --k" in capsys.readouterr().err
+        assert "--k" in capsys.readouterr().err
+        # options may follow the input, in any order
+        code, payload = run_json(capsys, ["reduce", "kpath", files["hg1"], "-o", str(tmp_path / "kp"), "--k", "5"])
+        assert code == 0 and payload["gadget"]["k"] == 5
 
     def test_almost_requires_pivot(self, files, capsys):
         assert run(["reduce", "almost", files["c4"]]) == 2
-        capsys.readouterr()
+        assert "--pivot" in capsys.readouterr().err
         code, payload = run_json(capsys, ["reduce", "almost", files["c4"], "--pivot", "0"])
         assert code == 0
         assert payload["gadget"] == {"kind": "almost", "n": 9, "m": 11, "k": 2, "pivot": 0}
@@ -325,6 +318,22 @@ class TestUsage:
         assert run(["--threads", "0", "solve", files["c4"], "-k", "2"]) == 2
 
     @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["reduce", "k3", "hg1", "--k", "5"], "--k"),
+            (["reduce", "k4", "hg1", "--pivot", "0"], "--pivot"),
+            (["reduce", "kpath", "hg1", "--k", "5", "--pivot", "0"], "--pivot"),
+            (["reduce", "almost", "c4", "--pivot", "0", "--k", "5"], "--k"),
+            (["solve", "c4", "-k", "2", "--check-certificate", "good", "--mode", "count", "--budget", "0"],
+             "--check-certificate"),
+        ],
+    )
+    def test_flag_a_subcommand_does_not_read_is_refused(self, files, capsys, argv, flag):
+        assert run([files.get(a, a) for a in argv]) == 2
+        out, err = capsys.readouterr()
+        assert not out and flag in err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["solve", "c4", "-k", "0"],
@@ -354,7 +363,6 @@ class TestUsage:
             ("hgcolor", "1000001 0\n"),
             ("verify", "1 2 x 2\n"),
             ("rolegraph", "1 2 x 2\n"),
-            ("solve", "1 2 x 2\n"),
             ("reduce", "1 1\n0\n"),
         ],
     )
@@ -367,7 +375,6 @@ class TestUsage:
             "hgcolor": ["hgcolor", str(p), "-k", "2"],
             "verify": ["verify", files["c4"], str(p), "-k", "2"],
             "rolegraph": ["rolegraph", files["c4"], str(p)],
-            "solve": ["solve", files["c4"], "-k", "2", "--check-certificate", str(p)],
             "reduce": ["reduce", "k3", str(p)],
         }[cmd]
         assert run(argv) == 2

@@ -103,6 +103,7 @@ class TestColorLimit:
         [
             ["verify", "c4", "good", "-k", str(10**6 + 1)],
             ["rolegraph", "c4", "huge"],
+            ["verify", "c4", "good", "-k", str(10**18)],  # far above: refused before any allocation
         ],
     )
     def test_above_the_limit_is_usage_error(self, files, tmp_path, capsys, argv):

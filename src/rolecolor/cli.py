@@ -6,7 +6,8 @@ stdout; errors go to stderr. `run` is the one place that maps a refused input
 to exit 2: a fault in an input file reads "error: <path>: line N: ...", and a
 library precondition (a ValueError) reads "error: <message>". A command line
 that argparse refuses (an unknown, misplaced or missing flag) prints the usage
-line and then "rolecolor ...: error: ...", also with exit 2.
+line of the command or subcommand that refuses it, then "rolecolor ...: error:
+...", also with exit 2.
 """
 
 from __future__ import annotations
@@ -228,11 +229,22 @@ def _cmd_hgcolor(args) -> int:
     return _report(args, res)
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: it refuses an argument it does not take itself, so
+    the error shows the subcommand's usage, not the top-level one."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 @functools.cache  # built once per process: parsing keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="rolecolor", description=__doc__)
     ap.add_argument("--json", action="store_true", help="emit a single JSON object")
-    sub = ap.add_subparsers(dest="cmd", required=True)
+    sub = ap.add_subparsers(dest="cmd", required=True, parser_class=_SubcommandParser)
     search = argparse.ArgumentParser(add_help=False)  # flags shared by solve, rrole and hgcolor
     search.add_argument("--mode", choices=["decision", "witness", "count"], default="witness")
     search.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="most candidate colors to try")

@@ -109,6 +109,13 @@ class _Engine:
     Pruning (answer-preserving; a k-role search drops it with `pruning=False`):
       * surjectivity: the remaining vertices must cover the unused colors, and
         (k-role) when they are exactly as many, each of them opens a new color;
+      * opener bound (k-role): each unused color needs an uncolored vertex of
+        its own with no bound neighbor, that is, none in a locked class, and
+        none uncolored whose colors left are all locked classes (the colors
+        left for an uncolored w are those in the lock of every neighbor of w
+        in a locked class). A lock is a class's final neighborhood color set
+        and holds used colors only, so a bound neighbor can never see an
+        unused color;
       * lock check: every colored member of a locked class sees only colors in
         the lock, and its uncolored neighbors can still supply the rest of it;
       * open-class bound (k-role): every member w of an open class c can still
@@ -152,6 +159,7 @@ class _Engine:
         self.members = [[] for _ in range(k + 1)]
         self.seen = [0] * (k + 1)  # k-role, open classes only
         self.trail: list[int] = []  # lazy locks and seen changes, newest last
+        self.lockmask = 0  # k-role: the locked classes, as a color bitmask
         if r is not None:
             self.need: dict[int, float] = {}  # memoised per seen-color mask
         self.rejected = 0
@@ -197,7 +205,9 @@ class _Engine:
             return self._ahead(v)  # R-role locks are all set up front: nothing to close
         if not self.pruning:
             return True
-        return self._settle(v) and (self.n_used < self.k or self._forward(v))
+        if not self._settle(v):
+            return False
+        return self._openers(v) if self.n_used < self.k else self._forward(v)
 
     def _settle(self, v: int) -> bool:
         """k-role: lock the open classes that coloring v closes, fold the neighbor
@@ -250,6 +260,50 @@ class _Engine:
                 return False
         return True
 
+    def _openers(self, v: int) -> bool:
+        """k-role, some color unused: check that enough uncolored vertices have no
+        bound neighbor to open the unused colors.
+
+        Skipped while no class is locked, and while the uncolored vertices beyond the
+        openers needed are fewer than the openers needed: there (k near n) a scan at
+        every node costs O(n + m) and seldom cuts. Otherwise the uncolored vertices
+        are scanned from the last one, until enough are free or too many are bound;
+        an uncolored neighbor's bound state is worked out once per scan.
+        """
+        lockmask = self.lockmask
+        if not lockmask:
+            return True
+        need = self.k - self.n_used
+        spare = self.g.n - v - 1 - need  # uncolored vertices that may be bound
+        if spare < need:
+            return True
+        lock, color, adj, earlier = self.lock, self.color, self.adj, self.earlier
+        bound: dict[int, bool] = {}
+        for u in range(self.g.n - 1, v, -1):
+            for w in adj[u]:
+                if w <= v:
+                    if lockmask >> color[w] & 1:
+                        break
+                    continue
+                b = bound.get(w)
+                if b is None:
+                    left = -1  # the colors w can still take, as far as locks tell
+                    for z in earlier[w]:
+                        if z <= v and lockmask >> color[z] & 1:
+                            left &= lock[color[z]]
+                    b = bound[w] = left >= 0 and not left & ~lockmask
+                if b:
+                    break
+            else:
+                need -= 1
+                if not need:
+                    return True
+                continue
+            spare -= 1
+            if spare < 0:
+                return False
+        return True
+
     def _ahead(self, v: int) -> bool:
         """R-role: check that each uncolored neighbor of v can still take some color."""
         mask, rem, need = self.nbr_mask, self.rem, self.need
@@ -281,6 +335,7 @@ class _Engine:
         lock, mask, rem = self.lock, self.nbr_mask, self.rem
         c = self.color[u]
         want = lock[c] = mask[u]
+        self.lockmask |= 1 << c
         self.trail.append(c)
         for w in self.members[c]:
             seen = mask[w]
@@ -296,6 +351,7 @@ class _Engine:
             c = trail.pop()
             if c > 0:
                 lock[c] = -1
+                self.lockmask &= ~(1 << c)
             else:
                 seen[-c] = trail.pop()
         c = self.color[v]
@@ -398,6 +454,20 @@ def _solve(
     name = "closing" if closing else "id"
     if k > g.n:  # k colors need k vertices; answer before any per-color state is built
         return SolveResult(status=NO, count=0 if mode == COUNT else None, order=name)
+    if k == 1 and r is None and pruning:
+        # one candidate, every vertex in class 1. As in the engine, it is a leaf only
+        # when the rules (here the degree test) let it through, and a leaf is re-checked
+        cert = RoleColoring((1,) * g.n, 1)
+        leaf = one_role_decision(g)
+        found = [cert] if leaf and verify_k_role(g, cert) is None else []
+        return SolveResult(
+            status=YES if found else NO,
+            certificate=found[0] if found and mode in cert_modes else None,
+            count=len(found) if mode == COUNT else None,
+            certificates=tuple(found) if mode == ENUMERATE else (),
+            order=name,
+            leaves_rejected=int(leaf and not found),
+        )
     order = _closing_order(g) if closing else list(range(g.n))
     s = _Engine(g, k, r, mode, budget, pruning, limit, order)
     status = s.run()

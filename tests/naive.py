@@ -129,8 +129,10 @@ class RescanEngine(_Engine):
     After each coloring, and after the classes it closes are locked, seen[c] is
     rebuilt for every class and every member of every open class is checked
     against it; the forward check and the R-role look-ahead take every uncolored
-    neighbor from the full adjacency list, not from the engine's `later` lists.
-    Same walk and same rules, so the same nodes.
+    neighbor from the full adjacency list, not from the engine's `later` lists;
+    the opener bound reads the locked classes from `lock`, not from `lockmask`,
+    and counts every free uncolored vertex. Same walk and same rules, so the
+    same nodes.
     """
 
     def _settle(self, v: int) -> bool:
@@ -160,6 +162,24 @@ class RescanEngine(_Engine):
 
     def _forward(self, v: int) -> bool:
         return all(self._open_to(u) for u in self.adj[v] if not self.color[u])
+
+    def _openers(self, v: int) -> bool:
+        """Enough uncolored vertices have no bound neighbor to open the unused colors."""
+        color, lock, k = self.color, self.lock, self.k
+        locked = {c for c in range(1, k + 1) if lock[c] >= 0}
+        uncolored = [u for u in range(self.g.n) if not color[u]]
+        need = k - self.n_used
+        if not locked or len(uncolored) - need < need:  # the engine's two skips
+            return True
+
+        def bound(w):
+            if color[w]:
+                return color[w] in locked
+            locks = [lock[color[z]] for z in self.adj[w] if color[z] in locked]
+            left = {d for d in range(1, k + 1) if all(want >> d & 1 for want in locks)}
+            return bool(locks) and left <= locked
+
+        return sum(not any(map(bound, self.adj[u])) for u in uncolored) >= need
 
     def _ahead(self, v: int) -> bool:
         return all(self._need(self.nbr_mask[u]) <= self.rem[u] for u in self.adj[v] if not self.color[u])

@@ -333,6 +333,10 @@ class TestUsage:
         assert run([files.get(a, a) for a in argv]) == 2
         out, err = capsys.readouterr()
         assert not out and flag in err
+        # the subcommand that refuses the flag shows its own usage
+        prog = " ".join(["rolecolor", *argv[: 2 if argv[0] == "reduce" else 1]])
+        assert err.startswith(f"usage: {prog} ")
+        assert f"{prog}: error: unrecognized arguments:" in err
 
     @pytest.mark.parametrize(
         "argv",

@@ -15,8 +15,8 @@ from rolecolor import (
     verify_r_role,
 )
 from rolecolor import solver
-from generators import random_connected_hypergraph, random_graph
-from rolecolor.reductions import build_k4_instance
+from generators import chain_graph_from_degrees, random_connected_hypergraph, random_graph
+from rolecolor.reductions import build_k3_instance, build_k4_instance, parse_hypergraph
 from naive import RescanEngine, naive_closing_order, naive_k_role, naive_k_role_partitions, naive_r_role
 
 MODES = ("decision", "witness", "count", "enumerate")
@@ -40,6 +40,33 @@ class TestOneRole:
         for _ in range(100):
             g = random_graph(rng, rng.randint(1, 7))
             assert one_role_decision(g) == solve_k_role(g, 1).answer
+
+    def test_solver_checks_its_one_candidate(self, monkeypatch):
+        # k = 1 has one candidate, all ones: it is a leaf, checked, exactly when it is
+        # valid, as in the engine; and no engine is built
+        leaves = []
+
+        def check(*args):
+            leaves.append(args[1].assignment)
+            return verify_k_role(*args)
+
+        def no_engine(*args):
+            raise AssertionError("k = 1 built the engine")
+
+        rng = random.Random(3)
+        graphs = [Graph(1), Graph(3, [(0, 1)]), Graph(1500, [(i, i + 1) for i in range(1499)])]
+        graphs += [random_graph(rng, rng.randint(1, 7), rng.choice((0.2, 0.5))) for _ in range(40)]
+        for g in graphs:
+            for mode in MODES:
+                plain = solve_k_role(g, 1, mode=mode, limit=3, pruning=False)  # the engine
+                with monkeypatch.context() as m:
+                    m.setattr(solver, "verify_k_role", check)
+                    m.setattr(solver, "_Engine", no_engine)
+                    leaves.clear()
+                    res = solve_k_role(g, 1, mode=mode, limit=3)
+                assert leaves == ([(1,) * g.n] if plain.status == "yes" else [])
+                assert outcome(res) == outcome(plain)
+                assert (res.order, res.leaves_rejected) == (plain.order, 0)
 
 
 class TestSolveKRole:
@@ -141,22 +168,9 @@ class TestForcedNewColor:
         # every k up to n: k near n is where the rule fires
         rng = random.Random(79)
         for _ in range(24):
-            g = random_graph(rng, rng.randint(1, 9), rng.choice((0.2, 0.4, 0.6)))
-            for k in range(1, g.n + 1):
-                valid = [c.assignment for c in naive_k_role_partitions(g, k)]
-                for mode in MODES:
-                    def search(**kw):
-                        return solve_k_role(g, k, mode=mode, limit=3, **kw)
-
-                    res, plain = search(), search(pruning=False)
-                    want = (
-                        "yes" if valid else "no",
-                        len(valid) if mode == "count" else None,
-                        valid[0] if mode == "witness" and valid else None,
-                        valid[:3] if mode == "enumerate" else [],
-                    )
-                    assert outcome(res) == outcome(plain) == want, (sorted(g.edges), k, mode)
-                    assert res.nodes <= plain.nodes
+            assert_every_k_matches_oracle_and_unpruned(
+                random_graph(rng, rng.randint(1, 9), rng.choice((0.2, 0.4, 0.6)))
+            )
 
     def test_path_opens_a_color_per_vertex(self):
         # each vertex of P_n with k = n is its own class: one node per vertex
@@ -330,6 +344,31 @@ def outcome(res):
     return res.status, res.count, witness, [c.assignment for c in res.certificates]
 
 
+def oracle_outcome(valid, mode):
+    """The outcome a search in `mode` with limit=3 must have, given every valid
+    coloring in order."""
+    return (
+        "yes" if valid else "no",
+        len(valid) if mode == "count" else None,
+        valid[0] if mode == "witness" and valid else None,
+        valid[:3] if mode == "enumerate" else [],
+    )
+
+
+def assert_every_k_matches_oracle_and_unpruned(g):
+    """For every k up to n and every mode, the pruned search answers as the oracle
+    and the unpruned search do, in no more nodes than the unpruned one."""
+    for k in range(1, g.n + 1):
+        valid = [c.assignment for c in naive_k_role_partitions(g, k)]
+        for mode in MODES:
+            def search(**kw):
+                return solve_k_role(g, k, mode=mode, limit=3, **kw)
+
+            res, plain = search(), search(pruning=False)
+            assert outcome(res) == outcome(plain) == oracle_outcome(valid, mode), (sorted(g.edges), k, mode)
+            assert res.nodes <= plain.nodes
+
+
 def rescanned(monkeypatch, search):
     """Run `search` with the engine replaced by the from-scratch RescanEngine."""
     with monkeypatch.context() as m:
@@ -353,12 +392,7 @@ class TestIncrementalRules:
 
                     res = search()
                     ref = rescanned(monkeypatch, search)
-                    want = (
-                        "yes" if valid else "no",
-                        len(valid) if mode == "count" else None,
-                        valid[0] if mode == "witness" and valid else None,
-                        valid[:3] if mode == "enumerate" else [],
-                    )
+                    want = oracle_outcome(valid, mode)
                     assert res.nodes == ref.nodes, (sorted(g.edges), k, mode)
                     assert outcome(res) == outcome(ref) == outcome(search(pruning=False)) == want
 
@@ -457,3 +491,53 @@ class TestClosingOrder:
         g = Graph(20000, [(i, i + 1) for i in range(19999)])
         res = solve_k_role(g, 2, budget=10**6)
         assert (res.status, res.order) == ("yes", "closing")
+
+
+# 9 vertices, 7 triples: the hypergraph that CI also runs through `reduce k3` and `solve`
+HYPERGRAPH = "9 7\n3 1 5 7\n3 1 3 5\n3 1 6 7\n3 4 5 6\n3 1 6 8\n3 0 1 5\n3 0 2 6\n"
+
+
+class TestOpenerBound:
+    """Each unused color needs an uncolored vertex of its own with no bound
+    neighbor (one in a locked class, or an uncolored one that can only join a
+    locked class) to open it."""
+
+    def test_matches_oracle_and_unpruned_with_isolated_vertices(self):
+        rng = random.Random(83)
+        for _ in range(24):
+            core = random_graph(rng, rng.randint(1, 7), rng.choice((0.3, 0.5, 0.7)))
+            assert_every_k_matches_oracle_and_unpruned(Graph(core.n + rng.randint(1, 2), core.edges))
+
+    def test_gadget_nodes(self):
+        h = parse_hypergraph(HYPERGRAPH)
+        g = build_k3_instance(h).graph
+        res = solve_k_role(g, 3, mode="witness")
+        assert res.nodes <= 1400  # 27,875 without the bound
+        assert res.certificate.assignment == (1,) * 5 + (2, 2, 1, 1) + (3,) * 16 + (2,) * 5 + (1, 1, 2, 2)
+        assert verify_k_role(g, res.certificate) is None
+        res = solve_k_role(build_k4_instance(h).graph, 4)
+        assert (res.status, res.order) == ("yes", "closing")
+        assert res.nodes <= 502  # 22,007 without the bound
+
+    def test_chain_graph_decision(self):
+        # 3-role colorable (decide_chain3); the closing order ran over 2*10^6 nodes without the bound
+        h32 = chain_graph_from_degrees(18, [18, 18, 16, 14, 14, 13, 11, 11, 9, 6, 6, 5, 5, 2])
+        assert solve_k_role(h32, 3, budget=5 * 10**5).status == "yes"
+
+    def test_runs_only_in_pruned_k_role_searches(self, monkeypatch):
+        def fail(self, v):
+            raise AssertionError("the opener bound ran")
+
+        monkeypatch.setattr(solver._Engine, "_openers", fail)
+        rng = random.Random(89)
+        for _ in range(40):
+            g = random_graph(rng, rng.randint(1, 7))
+            r = random_role_graph(rng, rng.randint(1, 3))
+            for mode in MODES:
+                solve_r_role(g, r, mode=mode, limit=3)
+                solve_k_role(g, rng.randint(1, g.n), mode=mode, limit=3, pruning=False)
+        # R-role node counts, as before the bound
+        rng = random.Random(5)
+        g = Graph(34, [(u, v) for u in range(34) for v in range(u + 1, 34) if rng.random() < 0.2])
+        looped = RoleGraph(2, [(1, 1), (1, 2)])
+        assert [solve_r_role(g, looped, mode=m).nodes for m in ("decision", "count")] == [1793, 37504]

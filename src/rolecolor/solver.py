@@ -454,20 +454,6 @@ def _solve(
     name = "closing" if closing else "id"
     if k > g.n:  # k colors need k vertices; answer before any per-color state is built
         return SolveResult(status=NO, count=0 if mode == COUNT else None, order=name)
-    if k == 1 and r is None and pruning:
-        # one candidate, every vertex in class 1. As in the engine, it is a leaf only
-        # when the rules (here the degree test) let it through, and a leaf is re-checked
-        cert = RoleColoring((1,) * g.n, 1)
-        leaf = one_role_decision(g)
-        found = [cert] if leaf and verify_k_role(g, cert) is None else []
-        return SolveResult(
-            status=YES if found else NO,
-            certificate=found[0] if found and mode in cert_modes else None,
-            count=len(found) if mode == COUNT else None,
-            certificates=tuple(found) if mode == ENUMERATE else (),
-            order=name,
-            leaves_rejected=int(leaf and not found),
-        )
     order = _closing_order(g) if closing else list(range(g.n))
     s = _Engine(g, k, r, mode, budget, pruning, limit, order)
     status = s.run()

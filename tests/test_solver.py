@@ -41,33 +41,6 @@ class TestOneRole:
             g = random_graph(rng, rng.randint(1, 7))
             assert one_role_decision(g) == solve_k_role(g, 1).answer
 
-    def test_solver_checks_its_one_candidate(self, monkeypatch):
-        # k = 1 has one candidate, all ones: it is a leaf, checked, exactly when it is
-        # valid, as in the engine; and no engine is built
-        leaves = []
-
-        def check(*args):
-            leaves.append(args[1].assignment)
-            return verify_k_role(*args)
-
-        def no_engine(*args):
-            raise AssertionError("k = 1 built the engine")
-
-        rng = random.Random(3)
-        graphs = [Graph(1), Graph(3, [(0, 1)]), Graph(1500, [(i, i + 1) for i in range(1499)])]
-        graphs += [random_graph(rng, rng.randint(1, 7), rng.choice((0.2, 0.5))) for _ in range(40)]
-        for g in graphs:
-            for mode in MODES:
-                plain = solve_k_role(g, 1, mode=mode, limit=3, pruning=False)  # the engine
-                with monkeypatch.context() as m:
-                    m.setattr(solver, "verify_k_role", check)
-                    m.setattr(solver, "_Engine", no_engine)
-                    leaves.clear()
-                    res = solve_k_role(g, 1, mode=mode, limit=3)
-                assert leaves == ([(1,) * g.n] if plain.status == "yes" else [])
-                assert outcome(res) == outcome(plain)
-                assert (res.order, res.leaves_rejected) == (plain.order, 0)
-
 
 class TestSolveKRole:
     def test_p4_k3_no(self, p4):

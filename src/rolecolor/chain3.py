@@ -203,7 +203,7 @@ def _color_both_large(g: Graph, bp: Bipartition, cs: ChainStructure):
     # the neighborhoods of the two universals fail to be independent exactly
     # when some edge avoids both of them
     xy = {x, y}
-    independent = all(g.adj[v] <= xy for v in range(g.n) if v not in xy)
+    independent = all(xy.issuperset(g.adj[v]) for v in range(g.n) if v not in xy)
     colors = [0] * g.n
     if not independent:
         for v in range(g.n):
@@ -216,8 +216,8 @@ def _color_both_large(g: Graph, bp: Bipartition, cs: ChainStructure):
     for v in range(g.n):
         colors[v] = 1
     colors[x] = colors[y] = 2
-    nx = sorted(g.adj[x] - {y})
-    ny = sorted(g.adj[y] - {x})
+    nx = sorted(u for u in g.adj[x] if u != y)
+    ny = sorted(u for u in g.adj[y] if u != x)
     colors[nx[0]] = 1
     colors[nx[1]] = 3
     colors[ny[0]] = 1

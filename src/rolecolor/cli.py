@@ -1,13 +1,14 @@
 """rolecolor command line front end.
 
 Exit codes: 0 = yes/valid, 1 = no/invalid, 2 = usage/parse/precondition error,
-3 = search budget exceeded. With --json a single JSON object is printed on
-stdout; errors go to stderr. `run` is the one place that maps a refused input
-to exit 2: a fault in an input file reads "error: <path>: line N: ...", and a
-library precondition (a ValueError) reads "error: <message>". A command line
-that argparse refuses (an unknown, misplaced or missing flag) prints the usage
-line of the command or subcommand that refuses it, then "rolecolor ...: error:
-...", also with exit 2.
+3 = search budget exceeded. With --json, a flag of `rolecolor` itself that
+comes before the subcommand (`rolecolor --json solve ...`), a single JSON
+object is printed on stdout; errors go to stderr. `run` is the one place that
+maps a refused input to exit 2: a fault in an input file reads "error: <path>:
+line N: ...", and a library precondition (a ValueError) reads "error:
+<message>". A command line that argparse refuses (an unknown, misplaced or
+missing flag) prints the usage line of the command or subcommand that refuses
+it, then "rolecolor ...: error: ...", also with exit 2.
 """
 
 from __future__ import annotations

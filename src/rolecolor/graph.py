@@ -20,10 +20,13 @@ class GraphFormatError(ValueError):
 class Graph:
     """Simple undirected graph on vertices 0..n-1. No self-loops, no parallel edges.
 
-    `n`, `m` and the adjacency `adj` (a tuple of frozensets) are set on
-    construction. `edges`, the frozenset of (u, v) pairs with u < v, is built
-    from `adj` on first use; two threads that race on it build equal sets, so
-    the graph is still immutable and safe to share between threads.
+    `n`, `m` and the adjacency `adj` are set on construction. `adj[v]` is a
+    tuple of v's neighbors in no promised order, so `has_edge` is O(deg);
+    isolated vertices share the empty tuple. `edges`, the frozenset of (u, v)
+    pairs with u < v, is built from `adj` on first use; two threads that race
+    on it build equal sets, so the graph is still immutable and safe to share
+    between threads. Equality and hashing go through `n` and `edges`, so they
+    do not depend on the order of the neighbors.
     """
 
     __slots__ = ("n", "m", "adj", "_edges")
@@ -42,7 +45,7 @@ class Graph:
                 raise ValueError(f"duplicate edge ({u},{v})")
             au.add(v)
             adj[v].add(u)
-        self._fill(n, _frozen(adj))
+        self._fill(n, tuple(map(tuple, adj)))
 
     def _fill(self, n: int, adj: tuple) -> None:
         self.n = n
@@ -52,8 +55,9 @@ class Graph:
 
     @classmethod
     def _from_adjacency(cls, n: int, adj: tuple) -> Graph:
-        """The graph whose adjacency is `adj`, a tuple of n frozensets that the
-        caller has already checked: symmetric, in range, no self-loops."""
+        """The graph whose adjacency is `adj`, a tuple of n int tuples that the
+        caller has already checked: symmetric, in range, no self-loops and no
+        repeated neighbor."""
         g = cls.__new__(cls)
         g._fill(n, adj)
         return g
@@ -71,10 +75,10 @@ class Graph:
         return v in self.adj[u]
 
     def __eq__(self, other):
-        return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
+        return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
 
     def __hash__(self):
-        return hash((self.n, self.adj))
+        return hash((self.n, self.edges))
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
@@ -83,15 +87,6 @@ class Graph:
         lines = [f"{self.n} {self.m}"]
         lines.extend(f"{u} {v}" for u, a in enumerate(self.adj) for v in sorted(a) if u < v)
         return "\n".join(lines) + "\n"
-
-
-_NO_NEIGHBORS = frozenset()
-
-
-def _frozen(adj: list) -> tuple:
-    """Neighbor collections as a tuple of frozensets. Isolated vertices share one
-    empty set: each new empty frozenset holds about 200 bytes."""
-    return tuple([frozenset(a) if a else _NO_NEIGHBORS for a in adj])
 
 
 @dataclass(frozen=True)
@@ -221,8 +216,9 @@ def _read_plain_edges(text: str) -> Graph | None:
     Never raises. Any other layout, and any fault (a count off, an id out of
     range, a self-loop, a duplicate edge), returns None, so the line reader
     decides every other text and reports every error at its line. The body is
-    read in slices that end at a newline, and every adjacency set shares one
-    int object per vertex. A slice has the layout when deleting its digits
+    read in slices that end at a newline. Each vertex's neighbors become one
+    tuple, in the order their edges appear, and all tuples share one int
+    object per vertex. A slice has the layout when deleting its digits
     leaves exactly " \n" per line; the JSON scanner then converts all its
     numbers at once, and refuses an empty number, a leading zero ("01") and a
     number longer than int() converts, which the line reader then decides.
@@ -256,10 +252,13 @@ def _read_plain_edges(text: str) -> Graph | None:
         for u, v in zip(it, it):
             adj[u].append(v)
             adj[v].append(u)
-    adj = _frozen(adj)
-    if records != m or sum(map(len, adj)) != 2 * m:  # a loop or a repeated edge merges in its set
+    if records != m:
         return None
-    return Graph._from_adjacency(n, adj)
+    for v, a in enumerate(adj):  # in place: each list is freed as its tuple is made
+        if len(a) > 1 and len(set(a)) != len(a):  # a loop or a repeated edge lists a neighbor twice
+            return None
+        adj[v] = tuple(a)
+    return Graph._from_adjacency(n, tuple(adj))
 
 
 def parse_graph(text: str) -> Graph:
@@ -376,10 +375,12 @@ def is_chain(g: Graph, bp: Bipartition):
     """
     xs = sorted(bp.partX, key=lambda v: (g.degree(v), v))
     for a, b in zip(xs, xs[1:]):
-        if not g.adj[a] <= g.adj[b]:
+        nb = set(g.adj[b])
+        if not nb.issuperset(g.adj[a]):
             # a and b are incomparable (deg(a) <= deg(b) forces both differences nonempty)
-            w = min(g.adj[a] - g.adj[b])
-            z = min(g.adj[b] - g.adj[a])
+            na = set(g.adj[a])
+            w = min(na - nb)
+            z = min(nb - na)
             return Witness2K2(a, b, w, z)
     return True
 

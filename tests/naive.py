@@ -193,7 +193,7 @@ def naive_closing_order(g: Graph) -> list:
     order = []
 
     def key(v):
-        p = len(g.adj[v] & placed)
+        p = len(placed.intersection(g.adj[v]))
         return (-p, g.degree(v) - p, v)
 
     while len(order) < g.n:

@@ -312,6 +312,13 @@ class TestUsage:
         assert code == 0 and payload["certificate"] == [1, 1, 2, 2]  # --mode witness, default budget
         assert "count" not in payload
 
+    def test_json_comes_before_the_subcommand(self, files, capsys):
+        assert run(["--json", "solve", files["c4"], "-k", "2"]) == 0
+        jsonschema.validate(json.loads(capsys.readouterr().out), SCHEMA)
+        assert run(["solve", files["c4"], "-k", "2", "--json"]) == 2
+        out, err = capsys.readouterr()
+        assert not out and "unrecognized arguments: --json" in err
+
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == 2
 

@@ -283,6 +283,8 @@ FAULTS = {
     "short": "",  # one record too few
     "over": f"{A} {B}\n{ABSENT}\n",  # one record too many
     "over-by-a-repeat": f"{A} {B}\n{B} {A}\n",  # one too many, and still m distinct edges
+    "repeat": f"{A} {B}\n{A} {B}\n",  # one too many, the same edge the same way twice
+    "repeat-in-place": f"{FIRST_EDGE[0]} {FIRST_EDGE[1]}\n",  # the first edge again, the same way: m records
     "three": "0 1 2\n",
     "long": "1" * 5000 + " 0\n",  # more digits than int() converts, 4300 by default
 }
@@ -329,7 +331,7 @@ def test_isolated_vertices_share_one_empty_set():
 
 def test_bulk_reader_holds_no_copy_of_the_whole_text():
     # K_{400,500}: 2e5 lines, 1.6 MB of text. The adjacency lists hold about
-    # 3.5 MB until they are frozen; a copy of the whole text adds 1.6 MB more.
+    # 3.5 MB until they become tuples; a copy of the whole text adds 1.6 MB more.
     text = "900 200000\n" + "".join(f"{u} {v}\n" for u in range(400) for v in range(400, 900))
     tracemalloc.start()
     try:
@@ -339,3 +341,36 @@ def test_bulk_reader_holds_no_copy_of_the_whole_text():
         tracemalloc.stop()
     assert g is not None and g.m == 200000
     assert peak - kept < 4.25 * 2**20
+
+
+def test_adjacency_keeps_one_slot_per_neighbor():
+    # K_{400,500}: 4e5 neighbor entries keep about 3.2 MB as tuples; a set or
+    # frozenset per vertex keeps over 14 MB.
+    text = "900 200000\n" + "".join(f"{u} {v}\n" for u in range(400) for v in range(400, 900))
+    edges = [(u, v) for u in range(400) for v in range(400, 900)]
+    for build in (lambda: _read_plain_edges(text), lambda: Graph(900, edges)):
+        tracemalloc.start()
+        try:
+            g = build()
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert g is not None and g.m == 200000
+        assert kept < 6 * 2**20
+
+
+def test_graph_equality_ignores_edge_order():
+    # one edge set, lines shuffled and some pairs reversed, read three ways
+    text = plain_edge_list(random.Random(6), 60, 400)
+    rows = [tuple(map(int, line.split())) for line in text.splitlines()[1:]]
+    ordered = "60 400\n" + "".join(f"{min(e)} {max(e)}\n" for e in sorted(rows, key=sorted))
+    assert _read_plain_edges("# c\n" + text) is None
+    graphs = [
+        _read_plain_edges(text),
+        parse_graph("# c\n" + text),  # the comment sends it to the line reader
+        Graph(60, sorted(rows)),
+        _read_plain_edges(ordered),
+    ]
+    assert graphs[0].adj != graphs[3].adj  # neighbors are kept in the order the edges appear
+    for g in graphs:
+        assert g == graphs[0] and hash(g) == hash(graphs[0]) and g.m == 400

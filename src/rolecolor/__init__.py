@@ -16,17 +16,14 @@ from .graph import (
     parse_graph,
 )
 from .reductions import (
-    CannotExtract,
     GadgetGraph,
     Hypergraph,
     build_almost_bipartite,
     build_k3_instance,
     build_k4_instance,
     build_kpath_instance,
-    extract_beta,
     hypergraph_k_colorable,
     incidence_graph,
-    lift_coloring,
     parse_hypergraph,
 )
 from .roles import (
@@ -43,7 +40,6 @@ from .roles import (
 from .solver import (
     BudgetExceeded,
     SolveResult,
-    one_role_decision,
     solve_k_role,
     solve_r_role,
 )
@@ -53,7 +49,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Bipartition",
     "BudgetExceeded",
-    "CannotExtract",
     "ChainDecision",
     "ChainStructure",
     "GadgetGraph",
@@ -76,14 +71,11 @@ __all__ = [
     "chain_structure",
     "decide_chain3",
     "emit_coloring",
-    "extract_beta",
     "extract_role_graph",
     "hypergraph_k_colorable",
     "incidence_graph",
     "is_chain",
     "is_connected",
-    "lift_coloring",
-    "one_role_decision",
     "parse_coloring",
     "parse_graph",
     "parse_hypergraph",

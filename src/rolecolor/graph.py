@@ -21,7 +21,7 @@ class Graph:
     """Simple undirected graph on vertices 0..n-1. No self-loops, no parallel edges.
 
     `n`, `m` and the adjacency `adj` are set on construction. `adj[v]` is a
-    tuple of v's neighbors in no promised order, so `has_edge` is O(deg);
+    tuple of v's neighbors in no promised order, so `v in adj[u]` is O(deg);
     isolated vertices share the empty tuple. `edges`, the frozenset of (u, v)
     pairs with u < v, is built from `adj` on first use; two threads that race
     on it build equal sets, so the graph is still immutable and safe to share
@@ -70,9 +70,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges

@@ -10,7 +10,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from itertools import filterfalse
 
-from .graph import MAX_HEADER_COUNT, Graph, _edge_record, _read_records, is_connected
+from .graph import MAX_HEADER_COUNT, Graph, _edge_record, _read_records
 
 
 @dataclass(frozen=True)
@@ -30,9 +30,6 @@ class RoleColoring:
     @property
     def n(self) -> int:
         return len(self.assignment)
-
-    def color(self, v: int) -> int:
-        return self.assignment[v]
 
     def used_colors(self) -> frozenset:
         return frozenset(self.assignment)
@@ -68,16 +65,6 @@ class RoleGraph:
 
     def neighbors(self, c: int) -> frozenset:
         return self._nbr.get(c, _NO_COLORS)
-
-    def degree(self, c: int) -> int:
-        return len(self.neighbors(c))
-
-    def is_connected(self) -> bool:
-        # loops never connect distinct colors; a color without neighbors stands
-        # alone, and answering that first keeps a wide color range cheap
-        if self.colors > 1 and len(self._nbr) < self.colors:
-            return False
-        return is_connected(Graph(self.colors, [(a - 1, b - 1) for a, b in self.edges if a != b]))
 
     def __eq__(self, other):
         return (
@@ -204,8 +191,15 @@ def parse_coloring(text: str, k: int | None = None) -> RoleColoring:
     """Parse the coloring format: one line of space-separated colors.
 
     When k is omitted it defaults to the largest color present. A k or a color
-    above MAX_HEADER_COUNT is refused, since checks allocate per color.
+    above MAX_HEADER_COUNT is refused, since checks allocate per color. A bad
+    k is a plain ValueError, raised before the text is read: the fault is the
+    caller's, not the text's.
     """
+    if k is not None:
+        if k < 1:
+            raise ValueError("k must be positive")
+        if k > MAX_HEADER_COUNT:
+            raise ValueError(f"color range 1..{k} is above the limit {MAX_HEADER_COUNT}")
 
     def build(rows):
         colors = next(rows, None)

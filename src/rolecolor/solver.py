@@ -47,14 +47,6 @@ class SolveResult:
         return self.status == YES
 
 
-def one_role_decision(g: Graph) -> bool:
-    """1-role colorability: all neighborhoods empty, or none of them."""
-    if g.n == 0:
-        return False  # no vertex can receive the color
-    degs = [g.degree(v) for v in range(g.n)]
-    return all(d == 0 for d in degs) or all(d > 0 for d in degs)
-
-
 def _closing_order(g: Graph) -> list[int]:
     """A vertex order that closes neighborhoods early.
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from rolecolor.graph import Graph
-from rolecolor.reductions import Hypergraph
+from rolecolor.graph import Graph, is_connected
+from rolecolor.reductions import Hypergraph, incidence_graph
 
 
 def chain_graph_from_degrees(q: int, degrees: list[int], extra_isolated: int = 0) -> Graph:
@@ -109,6 +109,15 @@ def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     return Graph(n, edges)
 
 
+def hypergraph_connected(h: Hypergraph) -> bool:
+    """Connected in the incidence sense: every vertex covered, one component."""
+    if not h.edges:
+        return h.n <= 1
+    if sum(map(len, h.edges)) < h.n + h.m - 1:
+        return False  # too few incidences to span the incidence graph
+    return is_connected(incidence_graph(h).graph)
+
+
 def random_connected_hypergraph(rng: random.Random, nq: int, ns: int) -> Hypergraph:
     """A random connected 3-uniform hypergraph with nq vertices and ns hyperedges.
 
@@ -125,7 +134,7 @@ def random_connected_hypergraph(rng: random.Random, nq: int, ns: int) -> Hypergr
     for _ in range(10_000):
         edges = rng.sample(all_triples, ns)
         h = Hypergraph(nq, [frozenset(e) for e in edges])
-        if h.is_connected():
+        if hypergraph_connected(h):
             return h
     raise RuntimeError(f"no connected 3-uniform hypergraph found for nq={nq}, ns={ns}")
 

@@ -383,10 +383,10 @@ def has_induced_2k2(g: Graph) -> bool:
             if len({u, w, v, z}) < 4:
                 continue
             if (
-                not g.has_edge(u, v)
-                and not g.has_edge(u, z)
-                and not g.has_edge(w, v)
-                and not g.has_edge(w, z)
+                v not in g.adj[u]
+                and z not in g.adj[u]
+                and v not in g.adj[w]
+                and z not in g.adj[w]
             ):
                 return True
     return False
@@ -394,14 +394,31 @@ def has_induced_2k2(g: Graph) -> bool:
 
 def check_degree_bound(g: Graph, c: RoleColoring, r: RoleGraph) -> bool:
     """deg_G(v) >= deg_R(color(v)) for every vertex (a loop counts once)."""
-    return all(g.degree(v) >= r.degree(c.assignment[v]) for v in range(g.n))
+    return all(g.degree(v) >= len(r.neighbors(c.assignment[v])) for v in range(g.n))
 
 
 def check_role_connectivity(g: Graph, c: RoleColoring, r: RoleGraph) -> bool:
     """True iff r is connected. Requires g connected."""
     if not is_connected(g):
         raise ValueError("check_role_connectivity requires a connected graph")
-    return r.is_connected()
+    return role_graph_connected(r)
+
+
+def role_graph_connected(r: RoleGraph) -> bool:
+    """True iff r is connected; r with no colors counts as connected."""
+    # loops never connect distinct colors; a color without neighbors stands
+    # alone, and answering that first keeps a wide color range cheap
+    if r.colors > 1 and len({c for e in r.edges for c in e}) < r.colors:
+        return False
+    return is_connected(Graph(r.colors, [(a - 1, b - 1) for a, b in r.edges if a != b]))
+
+
+def one_role_decision(g: Graph) -> bool:
+    """1-role colorability: all neighborhoods empty, or none of them."""
+    if g.n == 0:
+        return False  # no vertex can receive the color
+    degs = [g.degree(v) for v in range(g.n)]
+    return all(d == 0 for d in degs) or all(d > 0 for d in degs)
 
 
 def naive_hypergraph_connected(h: Hypergraph) -> bool:

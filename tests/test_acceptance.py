@@ -19,14 +19,13 @@ from rolecolor import (
     build_k4_instance,
     build_kpath_instance,
     decide_chain3,
-    extract_beta,
     hypergraph_k_colorable,
     is_connected,
-    lift_coloring,
     solve_k_role,
     solve_r_role,
     verify_k_role,
 )
+from gadget_proofs import extract_beta, lift_coloring, vertices_tagged
 from generators import (
     connected_chain_graphs,
     fano_plane,
@@ -156,7 +155,7 @@ def test_criterion_4_single_pendant_gadget_iff():
             assert beta and is_non_monochromatic(h, beta)
             assert beta.used_colors() == {1, 2, 3}
         if i < 50 and left.answer:
-            qs = gg.vertices_tagged("Q")
+            qs = vertices_tagged(gg, "Q")
             for alpha in solve_k_role(gg.graph, 4, mode="enumerate", limit=100).certificates:
                 sizes = len({alpha.assignment[v] for v in qs})
                 q_color_counts.add(sizes)

@@ -64,6 +64,18 @@ class TestVerify:
         assert run(["verify", files["c4"], files["dir"] + "/nope.col", "-k", "2"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "k, message",
+        [
+            ("0", "k must be positive"),
+            (str(10**6 + 1), "color range 1..1000001 is above the limit 1000000"),
+        ],
+    )
+    def test_bad_k_blames_the_flag_not_the_file(self, files, capsys, k, message):
+        assert run(["verify", files["c4"], files["good"], "-k", k]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"  # no coloring path, no line number
+
 
 class TestRolegraph:
     def test_extraction(self, files, capsys):

@@ -109,6 +109,14 @@ def test_coloring_color_limit_is_inclusive():
         parse_coloring("1 2\n", 10**6 + 1)
 
 
+@pytest.mark.parametrize("k, message", [(0, "k must be positive"), (10**6 + 1, "above the limit")])
+def test_coloring_bad_k_is_refused_before_the_text(k, message):
+    # the fault is the caller's k, so it is a plain ValueError with no line, even for bad text
+    with pytest.raises(ValueError, match=message) as e:
+        parse_coloring("not a coloring\n", k)
+    assert not isinstance(e.value, GraphFormatError)
+
+
 @pytest.mark.parametrize(
     "fmt, plain",
     [

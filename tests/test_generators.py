@@ -6,6 +6,7 @@ from generators import (
     chain_graph_from_degrees,
     connected_chain_graphs,
     fano_plane,
+    hypergraph_connected,
     random_connected_bipartite,
     random_connected_hypergraph,
 )
@@ -72,12 +73,12 @@ class TestRandomHypergraphs:
             hi = min(4, len(list(combinations(range(nq), 3))))
             h = random_connected_hypergraph(rng, nq, rng.randint(lo, max(lo, hi)))
             assert h.is_uniform(3)
-            assert h.is_connected()
+            assert hypergraph_connected(h)
 
     def test_fano(self):
         h = fano_plane()
         assert h.n == 7 and h.m == 7
-        assert h.is_uniform(3) and h.is_connected()
+        assert h.is_uniform(3) and hypergraph_connected(h)
         # every pair of lines meets in exactly one point
         for e, f in combinations(h.edges, 2):
             assert len(e & f) == 1

@@ -4,7 +4,6 @@ import tracemalloc
 import pytest
 
 from rolecolor import (
-    CannotExtract,
     Graph,
     GraphFormatError,
     Hypergraph,
@@ -14,15 +13,14 @@ from rolecolor import (
     build_k3_instance,
     build_k4_instance,
     build_kpath_instance,
-    extract_beta,
     hypergraph_k_colorable,
     incidence_graph,
-    lift_coloring,
     parse_hypergraph,
     solve_k_role,
     verify_k_role,
 )
-from generators import fano_plane, random_connected_hypergraph
+from gadget_proofs import CannotExtract, extract_beta, lift_coloring, vertices_tagged
+from generators import fano_plane, hypergraph_connected, random_connected_hypergraph
 from naive import (
     is_non_monochromatic,
     naive_hypergraph_colorable,
@@ -48,10 +46,10 @@ class TestHypergraph:
         assert h.is_uniform(3) and not h.is_uniform(2)
 
     def test_connectivity(self):
-        assert single_edge_hg().is_connected()
-        assert not Hypergraph(4, [{0, 1, 2}]).is_connected()  # vertex 3 uncovered
-        assert not Hypergraph(6, [{0, 1, 2}, {3, 4, 5}]).is_connected()
-        assert Hypergraph(5, [{0, 1, 2}, {2, 3, 4}]).is_connected()
+        assert hypergraph_connected(single_edge_hg())
+        assert not hypergraph_connected(Hypergraph(4, [{0, 1, 2}]))  # vertex 3 uncovered
+        assert not hypergraph_connected(Hypergraph(6, [{0, 1, 2}, {3, 4, 5}]))
+        assert hypergraph_connected(Hypergraph(5, [{0, 1, 2}, {2, 3, 4}]))
 
     def test_connectivity_matches_fixpoint(self):
         rng = random.Random(41)
@@ -63,7 +61,7 @@ class TestHypergraph:
         seen = set()
         for h in cases:
             want = naive_hypergraph_connected(h)
-            assert h.is_connected() == want, (h.n, h.edges)
+            assert hypergraph_connected(h) == want, (h.n, h.edges)
             seen.add(want)
         assert seen == {True, False}
 
@@ -72,7 +70,7 @@ class TestHypergraph:
         h = Hypergraph(10**5, [{0, 1, 2}])
         tracemalloc.start()
         try:
-            connected = h.is_connected()
+            connected = hypergraph_connected(h)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -188,7 +186,7 @@ class TestGadgetShapes:
         gg = incidence_graph(Hypergraph(5, [{0, 1, 2}, {2, 3, 4}]))
         assert gg.graph.n == 7 and gg.graph.m == 6
         assert gg.role_of[5] == ("S", 0)
-        assert gg.graph.has_edge(2, 5) and gg.graph.has_edge(2, 6)
+        assert 5 in gg.graph.adj[2] and 6 in gg.graph.adj[2]
 
     def test_k3_counts(self):
         h = single_edge_hg()
@@ -212,13 +210,13 @@ class TestGadgetShapes:
         for k in (5, 6, 7):
             gg = build_kpath_instance(h, k)
             assert gg.graph.n == h.n + h.m * (k - 2)
-            path = gg.vertices_tagged("PathS")
+            path = vertices_tagged(gg, "PathS")
             assert len(path) == k - 3
             # the path's far end has degree 1, its near end touches s
             ends = [v for v in path if gg.graph.degree(v) == 1]
             assert len(ends) == 1
-            (s,) = gg.vertices_tagged("S")
-            near = [v for v in path if gg.graph.has_edge(v, s)]
+            (s,) = vertices_tagged(gg, "S")
+            near = [v for v in path if s in gg.graph.adj[v]]
             assert [gg.role_of[v][2] for v in near] == [k - 3]
 
     def test_kpath_rejects_small_k(self):
@@ -235,7 +233,7 @@ class TestGadgetShapes:
         gg = build_almost_bipartite(c4, 0)
         assert gg.graph.n == c4.n + 5 and gg.graph.m == c4.m + c4.degree(0) + 5
         assert not bipartition(gg.graph)  # triangle a-b-d
-        b = gg.vertices_tagged("GadgetB")[0]
+        b = vertices_tagged(gg, "GadgetB")[0]
         without_b = Graph(
             gg.graph.n,
             [e for e in gg.graph.edges if b not in e],
@@ -326,8 +324,8 @@ class TestLifts:
         # Q keeps beta, S and b_q get 3, a_q gets the opposite of its q
         assert alpha.assignment[:3] == (1, 1, 2)
         assert alpha.assignment[3] == 3
-        assert all(alpha.assignment[v] == 3 for v in gg.vertices_tagged("Bq"))
-        aq = gg.vertices_tagged("Aq")
+        assert all(alpha.assignment[v] == 3 for v in vertices_tagged(gg, "Bq"))
+        aq = vertices_tagged(gg, "Aq")
         assert [alpha.assignment[v] for v in aq] == [2, 2, 1]
         assert verify_k_role(gg.graph, alpha) is None
 
@@ -341,7 +339,7 @@ class TestLifts:
     def test_k5_lift_path_colors(self):
         gg = build_kpath_instance(single_edge_hg(), 5)
         alpha = lift_coloring(gg, RoleColoring((1, 1, 2), 2))
-        path = sorted(gg.vertices_tagged("PathS"), key=lambda v: gg.role_of[v][2])
+        path = sorted(vertices_tagged(gg, "PathS"), key=lambda v: gg.role_of[v][2])
         assert [alpha.assignment[v] for v in path] == [5, 4]
         assert verify_k_role(gg.graph, alpha) is None
 
@@ -386,7 +384,7 @@ class TestExtraction:
             gg = build_k4_instance(h)
             res = solve_k_role(gg.graph, 4, mode="enumerate", limit=50)
             for alpha in res.certificates:
-                qcols = {alpha.assignment[v] for v in gg.vertices_tagged("Q")}
+                qcols = {alpha.assignment[v] for v in vertices_tagged(gg, "Q")}
                 beta = extract_beta(gg, alpha)
                 assert beta, qcols
                 assert is_non_monochromatic(h, beta)

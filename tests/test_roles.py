@@ -16,7 +16,7 @@ from rolecolor import (
     verify_r_role,
 )
 from generators import random_graph
-from naive import check_degree_bound, check_role_connectivity
+from naive import check_degree_bound, check_role_connectivity, role_graph_connected
 
 
 class TestRoleColoring:
@@ -29,14 +29,14 @@ class TestRoleColoring:
     def test_used_colors(self):
         c = RoleColoring((1, 1, 3), 3)
         assert c.used_colors() == frozenset({1, 3})
-        assert c.n == 3 and c.color(2) == 3
+        assert c.n == 3 and c.assignment[2] == 3
 
 
 class TestRoleGraph:
     def test_loop_counts_once_in_neighbors(self):
         r = RoleGraph(2, [(1, 1), (1, 2)])
         assert r.neighbors(1) == frozenset({1, 2})
-        assert r.degree(1) == 2
+        assert len(r.neighbors(1)) == 2
         assert r.neighbors(2) == frozenset({1})
 
     def test_edges_normalized(self):
@@ -44,9 +44,9 @@ class TestRoleGraph:
 
     def test_loops_do_not_connect(self):
         # two colors joined only by their own loops: disconnected
-        assert not RoleGraph(2, [(1, 1), (2, 2)]).is_connected()
-        assert RoleGraph(2, [(1, 2)]).is_connected()
-        assert RoleGraph(1, [(1, 1)]).is_connected()
+        assert not role_graph_connected(RoleGraph(2, [(1, 1), (2, 2)]))
+        assert role_graph_connected(RoleGraph(2, [(1, 2)]))
+        assert role_graph_connected(RoleGraph(1, [(1, 1)]))
 
     def test_connectivity_matches_networkx(self):
         import networkx as nx
@@ -63,7 +63,7 @@ class TestRoleGraph:
             nxg.add_nodes_from(range(1, r.colors + 1))
             nxg.add_edges_from(r.edges)  # networkx keeps loops, and they join nothing
             want = r.colors == 0 or nx.is_connected(nxg)
-            assert r.is_connected() == want, r
+            assert role_graph_connected(r) == want, r
             seen.add(want)
         assert seen == {True, False}
 
@@ -74,11 +74,11 @@ class TestRoleGraph:
     def test_colors_without_neighbors(self):
         # only colors with a neighbor keep a set, so a wide range costs nothing per color
         r = RoleGraph(10**6, [(1, 2), (10**6, 10**6)])
-        assert r.neighbors(3) == frozenset() and r.degree(3) == 0
+        assert r.neighbors(3) == frozenset() and len(r.neighbors(3)) == 0
         assert r.neighbors(10**6) == frozenset({10**6})
         tracemalloc.start()
         try:
-            connected = r.is_connected()
+            connected = role_graph_connected(r)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -148,7 +148,7 @@ class TestExtractRoleGraph:
             g = random_graph(rng, rng.randint(0, 9), rng.random())
             k = rng.randint(1, 5)
             c = RoleColoring(tuple(rng.randint(1, k) for _ in range(g.n)), k)
-            pairs = {tuple(sorted((c.color(u), c.color(v)))) for u, v in g.edges}
+            pairs = {tuple(sorted((c.assignment[u], c.assignment[v]))) for u, v in g.edges}
             assert extract_role_graph(g, c) == RoleGraph(k, pairs)
 
     def test_self_consistency_with_verify_r(self):

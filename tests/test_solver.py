@@ -8,7 +8,6 @@ from rolecolor import (
     BudgetExceeded,
     Graph,
     RoleGraph,
-    one_role_decision,
     solve_k_role,
     solve_r_role,
     verify_k_role,
@@ -17,7 +16,14 @@ from rolecolor import (
 from rolecolor import solver
 from generators import chain_graph_from_degrees, random_connected_hypergraph, random_graph
 from rolecolor.reductions import build_k3_instance, build_k4_instance, parse_hypergraph
-from naive import RescanEngine, naive_closing_order, naive_k_role, naive_k_role_partitions, naive_r_role
+from naive import (
+    RescanEngine,
+    naive_closing_order,
+    naive_k_role,
+    naive_k_role_partitions,
+    naive_r_role,
+    one_role_decision,
+)
 
 MODES = ("decision", "witness", "count", "enumerate")
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 
 
@@ -20,13 +21,14 @@ class GraphFormatError(ValueError):
 class Graph:
     """Simple undirected graph on vertices 0..n-1. No self-loops, no parallel edges.
 
-    `n`, `m` and the adjacency `adj` are set on construction. `adj[v]` is a
-    tuple of v's neighbors in no promised order, so `v in adj[u]` is O(deg);
-    isolated vertices share the empty tuple. `edges`, the frozenset of (u, v)
-    pairs with u < v, is built from `adj` on first use; two threads that race
-    on it build equal sets, so the graph is still immutable and safe to share
-    between threads. Equality and hashing go through `n` and `edges`, so they
-    do not depend on the order of the neighbors.
+    `n`, `m` and the adjacency `adj` are set on construction: the edges go to
+    one neighbor list per vertex, and a repeated edge is found per vertex once
+    the lists are built. `adj[v]` is a tuple of v's neighbors in edge order, so
+    `v in adj[u]` is O(deg); isolated vertices share the empty tuple. `edges`,
+    the frozenset of (u, v) pairs with u < v, is built from `adj` on first use;
+    two threads that race on it build equal sets, so the graph is still
+    immutable and safe to share between threads. Equality and hashing go
+    through `n` and `edges`, so they do not depend on the order of the neighbors.
     """
 
     __slots__ = ("n", "m", "adj", "_edges")
@@ -34,33 +36,29 @@ class Graph:
     def __init__(self, n: int, edges=()):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        adj = [set() for _ in range(n)]
+        adj = [[] for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range [0,{n})")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            au = adj[u]
-            if v in au:
-                raise ValueError(f"duplicate edge ({u},{v})")
-            au.add(v)
-            adj[v].add(u)
-        self._fill(n, tuple(map(tuple, adj)))
+            adj[u].append(v)
+            adj[v].append(u)
+        self._fill(n, adj)
 
-    def _fill(self, n: int, adj: tuple) -> None:
+    def _fill(self, n: int, adj: list) -> None:
+        """Freeze n symmetric neighbor lists into tuples in place, freeing each list as its tuple
+        is made. The lowest vertex v that lists a neighbor w twice raises "duplicate edge (v,w)"."""
+        for v, a in enumerate(adj):
+            if len(a) > 1 and len(set(a)) != len(a):  # a loop or a repeated edge lists a neighbor twice
+                a.sort()
+                w = next(x for x, y in zip(a, a[1:]) if x == y)
+                raise ValueError(f"duplicate edge ({v},{w})")
+            adj[v] = tuple(a)
         self.n = n
         self.m = sum(map(len, adj)) // 2
-        self.adj = adj
+        self.adj = tuple(adj)
         self._edges = None
-
-    @classmethod
-    def _from_adjacency(cls, n: int, adj: tuple) -> Graph:
-        """The graph whose adjacency is `adj`, a tuple of n int tuples that the
-        caller has already checked: symmetric, in range, no self-loops and no
-        repeated neighbor."""
-        g = cls.__new__(cls)
-        g._fill(n, adj)
-        return g
 
     @property
     def edges(self) -> frozenset:
@@ -181,14 +179,25 @@ def _read_records(text: str, build, record=_ints, header: bool = True):
     return result
 
 
-def _edge_record(toks: list) -> tuple:
-    """An edge line holds exactly two integers."""
-    try:
-        u, v = toks
-        return int(u), int(v)
-    except ValueError:
-        _ints(toks)  # a token that is not an integer is reported first
-        raise ValueError("edge line must be two integers") from None
+def _new_edge_record():
+    """A record function for one text's edge lines: two integers, returned as written. An edge
+    that an earlier line gave, either way round, is a "duplicate edge (u,v)" at its own line."""
+    higher = defaultdict(set)  # lower endpoint -> the higher endpoints read so far
+
+    def record(toks: list) -> tuple:
+        try:
+            u, v = toks
+            u, v = int(u), int(v)
+        except ValueError:
+            _ints(toks)  # a token that is not an integer is reported first
+            raise ValueError("edge line must be two integers") from None
+        seen, w = (higher[u], v) if u <= v else (higher[v], u)
+        if w in seen:
+            raise ValueError(f"duplicate edge ({u},{v})")
+        seen.add(w)
+        return u, v
+
+    return record
 
 
 # A plain edge list: a header "n m", then lines "u v", every number written in
@@ -214,11 +223,12 @@ def _read_plain_edges(text: str) -> Graph | None:
     range, a self-loop, a duplicate edge), returns None, so the line reader
     decides every other text and reports every error at its line. The body is
     read in slices that end at a newline. Each vertex's neighbors become one
-    tuple, in the order their edges appear, and all tuples share one int
-    object per vertex. A slice has the layout when deleting its digits
-    leaves exactly " \n" per line; the JSON scanner then converts all its
-    numbers at once, and refuses an empty number, a leading zero ("01") and a
-    number longer than int() converts, which the line reader then decides.
+    tuple in Graph's freeze step, in edge order and sharing one int object per
+    vertex; that step's repeat check also finds a loop. A slice has the layout
+    when deleting its digits leaves exactly " \n" per line; the JSON scanner
+    then converts all its numbers at once, and refuses an empty number, a
+    leading zero ("01") and a number longer than int() converts, which the
+    line reader then decides.
     """
     head = _PLAIN_HEADER.match(text)
     if head is None or "#" in text:  # the layout has no "#": decline comments before any slice
@@ -251,11 +261,12 @@ def _read_plain_edges(text: str) -> Graph | None:
             adj[v].append(u)
     if records != m:
         return None
-    for v, a in enumerate(adj):  # in place: each list is freed as its tuple is made
-        if len(a) > 1 and len(set(a)) != len(a):  # a loop or a repeated edge lists a neighbor twice
-            return None
-        adj[v] = tuple(a)
-    return Graph._from_adjacency(n, tuple(adj))
+    g = Graph.__new__(Graph)
+    try:
+        g._fill(n, adj)
+    except ValueError:  # a loop or a repeated edge
+        return None
+    return g
 
 
 def parse_graph(text: str) -> Graph:
@@ -265,7 +276,12 @@ def parse_graph(text: str) -> Graph:
     reader, which builds the same graph and reports each error at its line.
     """
     g = _read_plain_edges(text)
-    return g if g is not None else _read_records(text, Graph, _edge_record)
+    return g if g is not None else _read_edge_lines(text)
+
+
+def _read_edge_lines(text: str) -> Graph:
+    """The graph of an edge list in any layout, read a line at a time; each fault at its line."""
+    return _read_records(text, Graph, _new_edge_record())
 
 
 def is_connected(g: Graph) -> bool:

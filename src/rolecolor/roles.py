@@ -10,7 +10,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from itertools import filterfalse
 
-from .graph import MAX_HEADER_COUNT, Graph, _edge_record, _read_records
+from .graph import MAX_HEADER_COUNT, Graph, _new_edge_record, _read_records
 
 
 @dataclass(frozen=True)
@@ -52,9 +52,11 @@ class RoleGraph:
             raise ValueError("color count must be non-negative")
         norm = set()
         for a, b in edges:
-            if not (1 <= a <= colors and 1 <= b <= colors):
+            if a > b:
+                a, b = b, a
+            if not (1 <= a and b <= colors):
                 raise ValueError(f"role edge ({a},{b}) out of range [1,{colors}]")
-            norm.add((a, b) if a <= b else (b, a))
+            norm.add((a, b))
         nbr = defaultdict(set)
         for a, b in norm:
             nbr[a].add(b)
@@ -222,17 +224,8 @@ def emit_coloring(c: RoleColoring) -> str:
 def parse_role_graph(text: str) -> RoleGraph:
     """Parse a role graph: the graph format, but 1-based and loops allowed.
 
-    A repeated or reversed edge is an error here, although RoleGraph itself
-    merges duplicates (extract_role_graph relies on that).
+    A repeated or reversed edge is an error at its line, as in parse_graph's
+    line reader, although RoleGraph itself merges duplicates
+    (extract_role_graph relies on that).
     """
-    seen = set()
-
-    def record(toks):
-        a, b = _edge_record(toks)
-        e = (a, b) if a <= b else (b, a)
-        if e in seen:
-            raise ValueError(f"duplicate edge ({a},{b})")
-        seen.add(e)
-        return e
-
-    return _read_records(text, RoleGraph, record)
+    return _read_records(text, RoleGraph, _new_edge_record())

@@ -24,7 +24,7 @@ from rolecolor import (
     parse_role_graph,
 )
 from rolecolor.cli import run
-from rolecolor.graph import _SLICE, _edge_record, _read_plain_edges, _read_records
+from rolecolor.graph import _SLICE, _read_edge_lines, _read_plain_edges
 from generators import random_graph
 from naive import naive_parse_graph, naive_parse_role_graph
 
@@ -59,6 +59,10 @@ REJECTED = [
     ("role", "-1 0\n", "non-negative", 1),
     ("role", "2 2\n1 2\n2 1\n", "duplicate", 3),
     ("role", "2 2\n1 1\n1 1\n", "duplicate", 3),
+    # a repeat mid-file is reported at its own line, not after the last record
+    ("role", "3 4\n1 2\n1 2\n2 3\n1 3\n", r"duplicate edge \(1,2\)", 3),
+    ("role", "3 4\n1 2\n2 1\n2 3\n1 3\n", r"duplicate edge \(2,1\)", 3),
+    ("graph", "4 4\n0 1\n2 3\n1 0\n0 2\n", r"duplicate edge \(1,0\)", 4),
     ("role", "2 1\n0 1\n", "out of range", 2),
     ("role", "2 1\n1\n", "two integers", 2),
     ("role", "2 2\n1 2\n", "declared 2", None),
@@ -234,10 +238,6 @@ def test_fuzzed_input_fails_only_as_documented(text, tmp_path, capsys):
             jsonschema.validate(json.loads(out), SCHEMA)
 
 
-def read_by_lines(text):
-    return _read_records(text, Graph, _edge_record)
-
-
 def plain_edge_list(rng, n, m):
     """m distinct edges on n vertices, in random order and direction."""
     edges = set()
@@ -267,7 +267,7 @@ BIG = plain_edge_list(random.Random(3), 700, 20000)  # longer than one bulk slic
 def test_bulk_reader_takes_plain_edge_lists(text, ending, last):
     text = text.rstrip("\n").replace("\n", ending) + last
     g = _read_plain_edges(text)
-    want = read_by_lines(text)
+    want = _read_edge_lines(text)
     assert g is not None and g == want and g.m == want.m
 
 
@@ -314,7 +314,7 @@ TEXTS["three-then-one"] = BIG[:CUT] + f"{A} {B} {C}\n{D}\n" + BIG[AFTER:]
 def test_bulk_reader_leaves_other_texts_to_the_line_reader(name):
     text = TEXTS[name]
     assert _read_plain_edges(text) is None
-    want = outcome(read_by_lines, text)
+    want = outcome(_read_edge_lines, text)
     assert isinstance(want, Graph) == (name in LAYOUTS)
     assert outcome(parse_graph, text) == want
 
@@ -326,7 +326,7 @@ def test_bulk_graph_shares_one_int_per_vertex():
 
 def test_isolated_vertices_share_one_empty_set():
     graphs = []
-    for read in (_read_plain_edges, read_by_lines):
+    for read in (_read_plain_edges, _read_edge_lines):
         tracemalloc.start()
         try:
             graphs.append(read("100000 0\n"))

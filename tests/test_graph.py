@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -47,6 +48,36 @@ class TestGraphBasics:
     def test_rejects_duplicate_edge(self):
         with pytest.raises(ValueError, match="duplicate"):
             Graph(3, [(0, 1), (1, 0)])
+
+    def test_repeat_before_the_last_edge_is_found(self):
+        # repeats are found per vertex once every edge is listed, and named by
+        # the lowest vertex that lists a neighbor twice
+        with pytest.raises(ValueError, match=r"duplicate edge \(1,2\)"):
+            Graph(5, [(3, 4), (2, 1), (1, 2), (0, 3), (0, 4)])
+
+    def test_range_and_loop_faults_come_before_a_repeat(self):
+        with pytest.raises(ValueError, match="out of range"):
+            Graph(3, [(0, 1), (1, 0), (0, 3)])
+        with pytest.raises(ValueError, match="self-loop"):
+            Graph(3, [(0, 1), (1, 0), (2, 2)])
+
+    def test_adjacency_keeps_the_order_of_the_edges(self):
+        g = Graph(4, [(0, 3), (2, 0), (0, 1)])
+        assert g.adj[0] == (3, 2, 1) and g.adj[1] == (0,)
+
+    def test_peak_stays_below_twice_what_is_kept(self):
+        # K_{400,500}: the neighbor lists become tuples in place, so the build
+        # never holds much more than the adjacency it keeps (about 3.2 MB);
+        # building a set per vertex first peaks at about 33 MB.
+        edges = [(u, v) for u in range(400) for v in range(400, 900)]
+        tracemalloc.start()
+        try:
+            g = Graph(900, edges)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.m == 200000
+        assert peak < 2 * kept
 
     def test_equality_and_hash(self):
         assert Graph(3, [(0, 1)]) == Graph(3, [(1, 0)])

@@ -71,6 +71,11 @@ class TestRoleGraph:
         with pytest.raises(ValueError, match="out of range"):
             RoleGraph(2, [(1, 3)])
 
+    def test_out_of_range_edge_is_named_low_end_first(self):
+        # the role-graph reader hands pairs over as written; messages keep the (low,high) form
+        with pytest.raises(ValueError, match=r"role edge \(1,4\) out of range \[1,3\]"):
+            RoleGraph(3, [(4, 1)])
+
     def test_colors_without_neighbors(self):
         # only colors with a neighbor keep a set, so a wide range costs nothing per color
         r = RoleGraph(10**6, [(1, 2), (10**6, 10**6)])

@@ -6,6 +6,7 @@ import json
 import re
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain
 
 
 class GraphFormatError(ValueError):
@@ -21,10 +22,12 @@ class GraphFormatError(ValueError):
 class Graph:
     """Simple undirected graph on vertices 0..n-1. No self-loops, no parallel edges.
 
-    `n`, `m` and the adjacency `adj` are set on construction: the edges go to
-    one neighbor list per vertex, and a repeated edge is found per vertex once
-    the lists are built. `adj[v]` is a tuple of v's neighbors in edge order, so
-    `v in adj[u]` is O(deg); isolated vertices share the empty tuple. `edges`,
+    `n`, `m` and the adjacency `adj` are set on construction, here and for
+    every reader: the edges go to one neighbor list per vertex, and a repeated
+    edge is found per vertex once the lists are built. `adj[v]` is a tuple of
+    v's neighbors in edge order, and all the tuples share one int object per
+    vertex, so `v in adj[u]` is O(deg) and an entry costs one slot; isolated
+    vertices share the empty tuple. `edges`,
     the frozenset of (u, v) pairs with u < v, is built from `adj` on first use;
     two threads that race on it build equal sets, so the graph is still
     immutable and safe to share between threads. Equality and hashing go
@@ -36,21 +39,17 @@ class Graph:
     def __init__(self, n: int, edges=()):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
+        ids = list(range(n))  # every neighbor entry of v is the one int object ids[v]
         adj = [[] for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range [0,{n})")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            adj[u].append(v)
-            adj[v].append(u)
-        self._fill(n, adj)
-
-    def _fill(self, n: int, adj: list) -> None:
-        """Freeze n symmetric neighbor lists into tuples in place, freeing each list as its tuple
-        is made. The lowest vertex v that lists a neighbor w twice raises "duplicate edge (v,w)"."""
-        for v, a in enumerate(adj):
-            if len(a) > 1 and len(set(a)) != len(a):  # a loop or a repeated edge lists a neighbor twice
+            adj[u].append(ids[v])
+            adj[v].append(ids[u])
+        for v, a in enumerate(adj):  # freeze each list in place, freeing it as its tuple is made
+            if len(a) > 1 and len(set(a)) != len(a):  # a repeated edge lists a neighbor twice
                 a.sort()
                 w = next(x for x, y in zip(a, a[1:]) if x == y)
                 raise ValueError(f"duplicate edge ({v},{w})")
@@ -135,6 +134,8 @@ def _ints(toks: list) -> tuple:
 def _read_records(text: str, build, record=_ints, header: bool = True):
     """Read the layout that every file format shares; return what `build` makes of it.
 
+    Lines end at \\n, \\r\\n or \\r, as in a file opened in text mode; any other
+    line-breaking character (\\f, \\x85, ...) is whitespace inside a line.
     Blank lines and lines whose first non-blank character is `#` are skipped.
     Every other line is a record: its whitespace-separated tokens, which
     `record` turns into an item. Every token must be an integer, and a record
@@ -151,7 +152,7 @@ def _read_records(text: str, build, record=_ints, header: bool = True):
 
     def rows():
         nonlocal line, found
-        for i, raw in enumerate(text.splitlines(), start=1):
+        for i, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1):
             toks = raw.split()
             if toks and toks[0][0] != "#":
                 line = i
@@ -222,51 +223,39 @@ def _read_plain_edges(text: str) -> Graph | None:
     Never raises. Any other layout, and any fault (a count off, an id out of
     range, a self-loop, a duplicate edge), returns None, so the line reader
     decides every other text and reports every error at its line. The body is
-    read in slices that end at a newline. Each vertex's neighbors become one
-    tuple in Graph's freeze step, in edge order and sharing one int object per
-    vertex; that step's repeat check also finds a loop. A slice has the layout
-    when deleting its digits leaves exactly " \n" per line; the JSON scanner
-    then converts all its numbers at once, and refuses an empty number, a
-    leading zero ("01") and a number longer than int() converts, which the
-    line reader then decides.
+    read in slices that end at a newline, and their edges stream into one
+    Graph(n, edges), whose checks find the range, loop and repeat faults. A
+    slice has the layout when deleting its digits leaves exactly " \n" per
+    line; the JSON scanner then converts all its numbers at once, and refuses
+    an empty number, a leading zero ("01") and a number longer than int()
+    converts, which the line reader then decides.
     """
     head = _PLAIN_HEADER.match(text)
     if head is None or "#" in text:  # the layout has no "#": decline comments before any slice
         return None
-    try:
-        n, m = map(int, head.groups())
-    except ValueError:  # more digits than int() converts
-        return None
-    if n > MAX_HEADER_COUNT:
-        return None
-    ids = list(range(n)).__getitem__
-    adj = [[] for _ in range(n)]
     records = 0
-    for start, end in _slices(text, head.end()):
-        chunk = text[start:end].replace("\r\n", "\n")
-        if chunk[-1] == "\n":
-            chunk = chunk[:-1]
-        if chunk.translate(_NO_DIGITS) != " \n" * chunk.count("\n") + " ":
-            return None
-        try:
+
+    def slice_edges():
+        nonlocal records
+        for start, end in _slices(text, head.end()):
+            chunk = text[start:end].replace("\r\n", "\n")
+            if chunk[-1] == "\n":
+                chunk = chunk[:-1]
+            if chunk.translate(_NO_DIGITS) != " \n" * chunk.count("\n") + " ":
+                raise ValueError("not a plain edge line")
             nums = json.loads("[" + chunk.replace(" ", ",").replace("\n", ",") + "]")
-        except ValueError:
-            return None
-        records += len(nums) // 2
-        if max(nums) >= n:
-            return None
-        it = map(ids, nums)
-        for u, v in zip(it, it):
-            adj[u].append(v)
-            adj[v].append(u)
-    if records != m:
-        return None
-    g = Graph.__new__(Graph)
+            records += len(nums) // 2
+            it = iter(nums)
+            yield zip(it, it)
+
     try:
-        g._fill(n, adj)
-    except ValueError:  # a loop or a repeated edge
+        n, m = map(int, head.groups())  # int() refuses more digits than it converts
+        if n > MAX_HEADER_COUNT:
+            return None
+        g = Graph(n, chain.from_iterable(slice_edges()))
+    except ValueError:  # a header, shape, JSON, range, loop or repeat fault
         return None
-    return g
+    return g if records == m else None
 
 
 def parse_graph(text: str) -> Graph:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import perm
 
-from .graph import Graph, _ints, _read_records, bipartition, is_connected
+from .graph import MAX_HEADER_COUNT, Graph, _ints, _read_records, bipartition, is_connected
 from .roles import RoleColoring
 from .solver import (
     BUDGET_EXCEEDED,
@@ -104,13 +104,16 @@ class GadgetGraph:
         return "\n".join(out) + "\n"
 
 
-def _incidence(h: Hypergraph, three_uniform: bool = False) -> tuple[list, list]:
-    """Edge and tag lists of incidence_graph(h), for a gadget to extend."""
+def _incidence(h: Hypergraph, three_uniform: bool = False, added: int = 0) -> tuple[list, list]:
+    """Edge and tag lists of incidence_graph(h), for a gadget that appends `added` vertices. A
+    gadget above MAX_HEADER_COUNT vertices, whose file no reader takes back, is refused first."""
     if three_uniform and not h.is_uniform(3):
         raise ValueError("hypergraph must be 3-uniform")
     if h.m == 0:
         raise ValueError("hypergraph has no hyperedges")
     nq = h.n
+    if nq + h.m + added > MAX_HEADER_COUNT:
+        raise ValueError(f"gadget has {nq + h.m + added} vertices, above the limit {MAX_HEADER_COUNT}")
     edges = [(q, nq + j) for j, e in enumerate(h.edges) for q in e]
     tags = [("Q", i) for i in range(nq)] + [("S", j) for j in range(h.m)]
     return edges, tags
@@ -124,7 +127,7 @@ def incidence_graph(h: Hypergraph) -> GadgetGraph:
 
 def build_k3_instance(h: Hypergraph) -> GadgetGraph:
     """Incidence graph plus a two-vertex pendant path q - b_q - a_q per q."""
-    edges, tags = _incidence(h, three_uniform=True)
+    edges, tags = _incidence(h, three_uniform=True, added=2 * h.n)
     nq = h.n
     off = nq + h.m
     edges += [(q, off + q) for q in range(nq)]  # b_q
@@ -136,7 +139,7 @@ def build_k3_instance(h: Hypergraph) -> GadgetGraph:
 
 def build_k4_instance(h: Hypergraph) -> GadgetGraph:
     """Incidence graph plus one pendant vertex per hyperedge vertex."""
-    edges, tags = _incidence(h, three_uniform=True)
+    edges, tags = _incidence(h, three_uniform=True, added=h.m)
     nq, ns = h.n, h.m
     off = nq + ns
     edges += [(nq + j, off + j) for j in range(ns)]
@@ -148,7 +151,7 @@ def build_kpath_instance(h: Hypergraph, k: int) -> GadgetGraph:
     """Incidence graph plus a pendant path of k-3 vertices hanging off each s."""
     if k < 5:
         raise ValueError("pendant-path gadget requires k >= 5")
-    edges, tags = _incidence(h, three_uniform=True)
+    edges, tags = _incidence(h, three_uniform=True, added=h.m * (k - 3))
     nq, ns = h.n, h.m
     off = nq + ns
     plen = k - 3

@@ -7,6 +7,7 @@ engine's walk and spells out only its incremental pruning rules.
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
@@ -272,7 +273,7 @@ def _naive_edge_list(text: str, check) -> tuple:
     """
     records = [
         (i, toks)
-        for i, toks in enumerate(map(str.split, text.splitlines()), start=1)
+        for i, toks in enumerate(map(str.split, re.split(r"\r\n|\r|\n", text)), start=1)
         if toks and toks[0][0] != "#"
     ]
     if not records:

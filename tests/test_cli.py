@@ -268,6 +268,14 @@ class TestReduce:
         code, payload = run_json(capsys, ["reduce", "kpath", files["hg1"], "-o", str(tmp_path / "kp"), "--k", "5"])
         assert code == 0 and payload["gadget"]["k"] == 5
 
+    def test_kpath_gadget_above_the_header_limit_is_refused(self, files, capsys):
+        # one hyperedge and --k 10^8 would be 10^8 + 1 vertices: refused at once, not built
+        start = time.perf_counter()
+        assert run(["reduce", "kpath", files["hg1"], "--k", "100000000"]) == 2
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert not out and err == "error: gadget has 100000001 vertices, above the limit 1000000\n"
+
     def test_almost_requires_pivot(self, files, capsys):
         assert run(["reduce", "almost", files["c4"]]) == 2
         assert "--pivot" in capsys.readouterr().err

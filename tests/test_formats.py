@@ -88,6 +88,9 @@ REJECTED = [
     ("hypergraph", "# c\n\n3 1\n  # indented\n\n2 1 1\n", "repeated", 6),
     ("coloring", "# c\n\n1 2\n  # indented\n\n2 1\n", "single line", 6),
     ("graph", "# c\n\n", "missing header", None),
+    # only \n, \r\n and \r end a line: \f and \x85 are whitespace inside one
+    ("graph", "3 3\n0 1\f\n1 2\n1 2\n", r"duplicate edge \(1,2\)", 4),
+    ("graph", "3 3\n0 1\x85\n1 2\n1 2\n", r"duplicate edge \(1,2\)", 4),
     ("coloring", "# c\n\n", "missing coloring line", None),
 ]
 
@@ -320,8 +323,10 @@ def test_bulk_reader_leaves_other_texts_to_the_line_reader(name):
 
 
 def test_bulk_graph_shares_one_int_per_vertex():
-    g = parse_graph(BIG)
-    assert len({id(x) for a in g.adj for x in a}) <= g.n
+    # so do the line reader's graph and Graph(n, edges), although their endpoints are new ints
+    rows = [tuple(map(int, line.split())) for line in BIG.splitlines()[1:]]
+    for g in (parse_graph(BIG), parse_graph("# c\n" + BIG), Graph(700, rows)):
+        assert len({id(x) for a in g.adj for x in a}) <= g.n
 
 
 def test_isolated_vertices_share_one_empty_set():
@@ -356,7 +361,8 @@ def test_adjacency_keeps_one_slot_per_neighbor():
     # frozenset per vertex keeps over 14 MB.
     text = "900 200000\n" + "".join(f"{u} {v}\n" for u in range(400) for v in range(400, 900))
     edges = [(u, v) for u in range(400) for v in range(400, 900)]
-    for build in (lambda: _read_plain_edges(text), lambda: Graph(900, edges)):
+    commented = "# c\n" + text  # the line reader's int() makes a new int per token
+    for build in (lambda: _read_plain_edges(text), lambda: Graph(900, edges), lambda: parse_graph(commented)):
         tracemalloc.start()
         try:
             g = build()

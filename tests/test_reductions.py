@@ -223,6 +223,24 @@ class TestGadgetShapes:
         with pytest.raises(ValueError):
             build_kpath_instance(single_edge_hg(), 4)
 
+    def test_gadget_above_the_header_limit_is_refused(self, monkeypatch):
+        # 10^8 path vertices are refused before any list is built; so is 10^6 + 1, which no reader takes back
+        for k in (10**8, 10**6):
+            with pytest.raises(ValueError, match=f"gadget has {k + 1} vertices, above the limit 1000000"):
+                build_kpath_instance(single_edge_hg(), k)
+        # every gadget builder checks its vertex count, and the limit itself is allowed
+        monkeypatch.setattr("rolecolor.reductions.MAX_HEADER_COUNT", 10)
+        h = single_edge_hg()  # 3 + 1 incidence vertices
+        for build, fits, over in (
+            (build_k3_instance, h, Hypergraph(4, [{0, 1, 2}])),  # 3n + 1
+            (build_k4_instance, Hypergraph(8, [{0, 1, 2}]), Hypergraph(9, [{0, 1, 2}])),  # n + 2
+            (lambda h: build_kpath_instance(h, 9), h, Hypergraph(4, [{0, 1, 2}])),  # n + 1 + 6
+            (incidence_graph, Hypergraph(9, [{0, 1, 2}]), Hypergraph(10, [{0, 1, 2}])),  # n + 1
+        ):
+            assert build(fits).graph.n == 10
+            with pytest.raises(ValueError, match="above the limit 10"):
+                build(over)
+
     def test_builders_require_3uniform(self):
         h = Hypergraph(2, [{0, 1}])
         for b in (build_k3_instance, build_k4_instance):

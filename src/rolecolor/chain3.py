@@ -6,9 +6,12 @@ universal, has a two-vertex side with more than one non-pendant opposite
 vertex, or has both sides of size at least 3. The decision procedure checks the
 conditions in that order (trying both orientations of the bipartition for the
 symmetric ones) and builds an explicit certificate coloring for the first
-condition that holds. Every certificate is verified before it is returned; if
-verification ever failed, the exact solver would be consulted and the incident
-recorded, but no such input is known.
+condition that holds; `_paint` builds every certificate. When the two-vertex
+side test is reached, the opposite side has a pendant: without one, both
+vertices of the side would be universal, a condition already checked, so that
+case has one certificate. Every certificate is verified before it is returned;
+if verification ever failed, the exact solver would be consulted and the
+incident recorded, but no such input is known.
 """
 
 from __future__ import annotations
@@ -90,13 +93,10 @@ def decide_chain3(g: Graph) -> ChainDecision:
     for tag, obp, cs in structured:
         nx, ny = len(obp.partX), len(obp.partY)
         if nx == 2 and ny > 2 and ny - len(cs.pendantY) > 1:
-            if cs.pendantY:
-                cert = _color_two_side_tail(g, obp, cs)
-                sub = "pendant-tail"
-            else:
-                cert = _color_two_side_no_pendants(g, obp, cs)
-                sub = "no-pendants"
-            return _finish(g, TWO_SIDE_WITH_TAIL, sub + tag, cert)
+            # Y has a pendant here: with none, every Y vertex has degree 2, both X
+            # vertices are universal, and the TwoUniversal loop has returned
+            cert = _color_two_side_tail(g, obp, cs)
+            return _finish(g, TWO_SIDE_WITH_TAIL, "pendant-tail" + tag, cert)
 
     if len(bp.partX) >= 3 and len(bp.partY) >= 3:
         cert, sub = _color_both_large(g, bp, structured[0][2])
@@ -128,108 +128,59 @@ def _finish(g, case_id, sub, cert) -> ChainDecision:
     )
 
 
+def _paint(n: int, base: int, *layers) -> RoleColoring:
+    """The 3-role certificate that colors every vertex `base`, then paints each
+    (color, vertices) layer in turn."""
+    colors = [base] * n
+    for color, vertices in layers:
+        for v in vertices:
+            colors[v] = color
+    return RoleColoring(tuple(colors), 3)
+
+
 def _color_disconnected(g: Graph, bp: Bipartition) -> RoleColoring:
-    colors = [3] * g.n
     if g.m == 0:
-        colors[0] = 1
-        colors[1] = 2
-        return RoleColoring(tuple(colors), 3)
+        return _paint(g.n, 3, (1, [0]), (2, [1]))
     # exactly one component carries edges (two would make a 2K2)
     edged = next(c for c in connected_components(g) if len(c) > 1)
-    for v in edged:
-        colors[v] = 1 if v in bp.partX else 2
-    return RoleColoring(tuple(colors), 3)
+    return _paint(g.n, 3, (1, bp.partX.intersection(edged)), (2, bp.partY.intersection(edged)))
 
 
 def _color_singleton(g: Graph, bp: Bipartition) -> RoleColoring:
     (center,) = bp.partX
-    colors = [3] * g.n
-    colors[center] = 1
-    colors[min(g.adj[center])] = 2
-    return RoleColoring(tuple(colors), 3)
+    return _paint(g.n, 3, (1, [center]), (2, [min(g.adj[center])]))
 
 
 def _color_two_universal(g: Graph, bp: Bipartition) -> RoleColoring:
     u, v = sorted(bp.partX)
-    colors = [3] * g.n
-    colors[u] = 1
-    colors[v] = 2
-    return RoleColoring(tuple(colors), 3)
-
-
-def _two_side_roles(bp: Bipartition, cs: ChainStructure):
-    """Split X = {u, v} with u universal (break ties toward the smaller id)."""
-    xs = sorted(bp.partX)
-    if xs[0] in cs.universalX:
-        return xs[0], xs[1]
-    return xs[1], xs[0]
-
-
-def _color_two_side_no_pendants(g: Graph, bp: Bipartition, cs: ChainStructure) -> RoleColoring:
-    u, v = _two_side_roles(bp, cs)
-    colors = [2] * g.n
-    colors[u] = 1
-    colors[v] = 3
-    return RoleColoring(tuple(colors), 3)
+    return _paint(g.n, 3, (1, [u]), (2, [v]))
 
 
 def _color_two_side_tail(g: Graph, bp: Bipartition, cs: ChainStructure) -> RoleColoring:
-    u, v = _two_side_roles(bp, cs)
+    """X = {u, v}: u is universal and v is not (both universal is TwoUniversal)."""
+    (v,) = bp.partX - cs.universalX
     t = min(y for y in g.adj[v] if g.degree(y) == 2)
-    colors = [0] * g.n
-    colors[u] = colors[v] = 2
-    for y in bp.partY:
-        colors[y] = 1 if y in cs.pendantY else 3
-    colors[t] = 1
-    return RoleColoring(tuple(colors), 3)
+    return _paint(g.n, 3, (2, bp.partX), (1, cs.pendantY), (1, [t]))
 
 
 def _color_both_large(g: Graph, bp: Bipartition, cs: ChainStructure):
     px, py = cs.pendantX, cs.pendantY
     if not px and not py:
-        u = min(cs.universalX)
-        colors = [3] * g.n
-        colors[u] = 1
-        for y in bp.partY:
-            colors[y] = 2
-        return RoleColoring(tuple(colors), 3), "no-pendants"
-    if px and not py:
-        return _color_pendants_one_side(g, bp.partY, cs.universalX), "pendants-in-X"
-    if py and not px:
-        return _color_pendants_one_side(g, bp.partX, cs.universalY), "pendants-in-Y"
+        return _paint(g.n, 3, (1, [min(cs.universalX)]), (2, bp.partY)), "no-pendants"
+    # pendants on one side only: the other side -> 1, one universal -> 2, rest -> 3
+    if not py:
+        return _paint(g.n, 3, (2, [min(cs.universalX)]), (1, bp.partY)), "pendants-in-X"
+    if not px:
+        return _paint(g.n, 3, (2, [min(cs.universalY)]), (1, bp.partX)), "pendants-in-Y"
     # pendants on both sides: exactly one universal vertex per side
     x = min(cs.universalX)
     y = min(cs.universalY)
     # the neighborhoods of the two universals fail to be independent exactly
     # when some edge avoids both of them
     xy = {x, y}
-    independent = all(xy.issuperset(g.adj[v]) for v in range(g.n) if v not in xy)
-    colors = [0] * g.n
-    if not independent:
-        for v in range(g.n):
-            colors[v] = 3
-        for v in px | py:
-            colors[v] = 1
-        colors[x] = colors[y] = 2
-        return RoleColoring(tuple(colors), 3), "pendants-both-sides"
+    if not all(xy.issuperset(g.adj[v]) for v in range(g.n) if v not in xy):
+        return _paint(g.n, 3, (1, px | py), (2, xy)), "pendants-both-sides"
     # N(x) u N(y) independent: the graph is a double star
-    for v in range(g.n):
-        colors[v] = 1
-    colors[x] = colors[y] = 2
     nx = sorted(u for u in g.adj[x] if u != y)
     ny = sorted(u for u in g.adj[y] if u != x)
-    colors[nx[0]] = 1
-    colors[nx[1]] = 3
-    colors[ny[0]] = 1
-    colors[ny[1]] = 3
-    return RoleColoring(tuple(colors), 3), "pendants-both-sides-independent"
-
-
-def _color_pendants_one_side(g: Graph, other_part, universal) -> RoleColoring:
-    """Pendants only opposite `other_part`: other_part -> 1, one universal -> 2, rest -> 3."""
-    u = min(universal)
-    colors = [3] * g.n
-    colors[u] = 2
-    for y in other_part:
-        colors[y] = 1
-    return RoleColoring(tuple(colors), 3)
+    return _paint(g.n, 1, (2, xy), (3, [nx[1], ny[1]])), "pendants-both-sides-independent"

@@ -208,15 +208,6 @@ _NO_DIGITS = str.maketrans("", "", "0123456789")
 _SLICE = 1 << 16  # characters per bulk slice: bounds the copies and lists held at once
 
 
-def _slices(text: str, start: int):
-    """(start, end) bounds that cut text[start:] into slices ending at a newline."""
-    size = len(text)
-    while start < size:
-        end = text.find("\n", start + _SLICE) + 1 or size
-        yield start, end
-        start = end
-
-
 def _read_plain_edges(text: str) -> Graph | None:
     """The graph of a plain edge list, or None when `text` is not one.
 
@@ -224,28 +215,28 @@ def _read_plain_edges(text: str) -> Graph | None:
     range, a self-loop, a duplicate edge), returns None, so the line reader
     decides every other text and reports every error at its line. The body is
     read in slices that end at a newline, and their edges stream into one
-    Graph(n, edges), whose checks find the range, loop and repeat faults. A
-    slice has the layout when deleting its digits leaves exactly " \n" per
-    line; the JSON scanner then converts all its numbers at once, and refuses
-    an empty number, a leading zero ("01") and a number longer than int()
-    converts, which the line reader then decides.
+    Graph(n, edges), whose checks find the range, loop and repeat faults; as
+    it refuses repeats, g.m is the number of records read. A slice has the
+    layout when deleting its digits leaves exactly " \n" per line; the JSON
+    scanner then converts all its numbers at once, and refuses an empty
+    number, a leading zero ("01") and a number longer than int() converts,
+    which the line reader then decides.
     """
     head = _PLAIN_HEADER.match(text)
     if head is None or "#" in text:  # the layout has no "#": decline comments before any slice
         return None
-    records = 0
 
     def slice_edges():
-        nonlocal records
-        for start, end in _slices(text, head.end()):
+        start, size = head.end(), len(text)
+        while start < size:
+            end = text.find("\n", start + _SLICE) + 1 or size
             chunk = text[start:end].replace("\r\n", "\n")
+            start = end
             if chunk[-1] == "\n":
                 chunk = chunk[:-1]
             if chunk.translate(_NO_DIGITS) != " \n" * chunk.count("\n") + " ":
                 raise ValueError("not a plain edge line")
-            nums = json.loads("[" + chunk.replace(" ", ",").replace("\n", ",") + "]")
-            records += len(nums) // 2
-            it = iter(nums)
+            it = iter(json.loads("[" + chunk.replace(" ", ",").replace("\n", ",") + "]"))
             yield zip(it, it)
 
     try:
@@ -255,7 +246,7 @@ def _read_plain_edges(text: str) -> Graph | None:
         g = Graph(n, chain.from_iterable(slice_edges()))
     except ValueError:  # a header, shape, JSON, range, loop or repeat fault
         return None
-    return g if records == m else None
+    return g if g.m == m else None
 
 
 def parse_graph(text: str) -> Graph:
@@ -354,20 +345,13 @@ def _odd_walk(g: Graph) -> NotBipartite:
                     parent[w] = u
                     queue.append(w)
                 elif side[w] == side[u]:
-                    # odd cycle: join the two BFS-tree paths at their meeting point
-                    pu = [u]
-                    pw = [w]
-                    while parent[pu[-1]] != -1:
+                    # odd cycle: u and w share a BFS depth, so climb both tree
+                    # paths in lockstep until they meet, then join them
+                    pu, pw = [u], [w]
+                    while pu[-1] != pw[-1]:
                         pu.append(parent[pu[-1]])
-                    while parent[pw[-1]] != -1:
                         pw.append(parent[pw[-1]])
-                    anc = set(pu)
-                    j = 0
-                    while pw[j] not in anc:
-                        j += 1
-                    meet = pw[j]
-                    walk = pu[: pu.index(meet) + 1] + list(reversed(pw[:j])) + [u]
-                    return NotBipartite(tuple(walk))
+                    return NotBipartite(tuple(pu + pw[-2::-1] + [u]))
 
 
 def is_chain(g: Graph, bp: Bipartition):

@@ -166,7 +166,8 @@ def build_almost_bipartite(g: Graph, x: int) -> GadgetGraph:
     """Attach a twin y of the pivot x, the edge (y,a), a pendant c on a and the
     triangle a-b-d to g.
 
-    Precondition: g is connected, bipartite and has at least one edge. The
+    Precondition: g is connected, bipartite and has at least one edge, and
+    g.n + 5 is at most MAX_HEADER_COUNT, checked before the other passes. The
     result is one vertex (a or b) and one edge (b,d) away from bipartite, and
     it is 2-role colorable exactly when g has an R0-role coloring, where R0 is
     the role graph with edge 1-2 and a loop at 1:
@@ -182,6 +183,8 @@ def build_almost_bipartite(g: Graph, x: int) -> GadgetGraph:
     """
     if not (0 <= x < g.n):
         raise ValueError(f"pivot {x} out of range")
+    if g.n + 5 > MAX_HEADER_COUNT:
+        raise ValueError(f"gadget has {g.n + 5} vertices, above the limit {MAX_HEADER_COUNT}")
     if not is_connected(g):
         raise ValueError("graph must be connected")
     if not bipartition(g):

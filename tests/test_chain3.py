@@ -79,6 +79,9 @@ class TestNamedCases:
         g = Graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3)])
         dec = decide_chain3(g)
         assert dec.answer and dec.caseId == TWO_SIDE_WITH_TAIL
+        # a two-vertex side X without a pendant opposite it is all universal, so
+        # TwoUniversal answers first: "pendant-tail" is this case's only subcase
+        assert dec.subCase == "pendant-tail"
         assert verify_k_role(g, dec.certificate) is None
 
     def test_double_star_yes(self):
@@ -87,6 +90,31 @@ class TestNamedCases:
         dec = decide_chain3(g)
         assert dec.answer
         assert verify_k_role(g, dec.certificate) is None
+
+
+class TestReachableSubcases:
+    def test_every_reachable_case_and_subcase(self):
+        # every connected chain graph with n <= 10, edgeless graphs, an edge plus
+        # isolated vertices, and the "no" instances P4 and n < 3
+        graphs = [g for n in range(2, 11) for g in connected_chain_graphs(n)]
+        graphs += [Graph(n) for n in range(1, 6)] + [Graph(4, [(1, 3)]), Graph(5, [(0, 4)])]
+        seen = {(d.caseId, d.subCase) for d in map(decide_chain3, graphs)}
+        assert seen == {
+            (NONE, None),
+            (DISCONNECTED, "edgeless"),
+            (DISCONNECTED, "one-edged-component"),
+            (SINGLETON_SIDE, "center"),
+            (SINGLETON_SIDE, "center-swapped"),
+            (TWO_UNIVERSAL, "both-universal"),
+            (TWO_UNIVERSAL, "both-universal-swapped"),
+            (TWO_SIDE_WITH_TAIL, "pendant-tail"),
+            (TWO_SIDE_WITH_TAIL, "pendant-tail-swapped"),
+            (BOTH_SIDES_LARGE, "no-pendants"),
+            (BOTH_SIDES_LARGE, "pendants-in-X"),
+            (BOTH_SIDES_LARGE, "pendants-in-Y"),
+            (BOTH_SIDES_LARGE, "pendants-both-sides"),
+            (BOTH_SIDES_LARGE, "pendants-both-sides-independent"),
+        }
 
 
 class TestAgainstSolver:

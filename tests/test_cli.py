@@ -219,6 +219,14 @@ class TestChain3:
         assert payload["case"] == "TwoUniversal"
         assert "certificate" in payload
 
+    def test_two_side_with_tail_subcase(self, tmp_path, capsys):
+        # X = {0,1}, 0 universal; Y has a pendant (4) and two degree-2 vertices
+        p = tmp_path / "tail.graph"
+        p.write_text(Graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3)]).to_text())
+        code, payload = run_json(capsys, ["chain3", str(p)])
+        assert code == 0 and payload["case"] == "TwoSideWithTail" and payload["subcase"] == "pendant-tail"
+        assert payload["certificate"] == [2, 2, 1, 3, 1]
+
     def test_p4_no(self, files, capsys):
         code, payload = run_json(capsys, ["chain3", files["p4"]])
         assert code == 1 and payload["case"] == "None"
@@ -275,6 +283,13 @@ class TestReduce:
         assert time.perf_counter() - start < 1
         out, err = capsys.readouterr()
         assert not out and err == "error: gadget has 100000001 vertices, above the limit 1000000\n"
+
+    def test_almost_gadget_above_the_header_limit_is_refused(self, files, capsys, monkeypatch):
+        # the 4-vertex path's gadget has 9 vertices: refused under a limit of 8, with nothing written
+        monkeypatch.setattr("rolecolor.reductions.MAX_HEADER_COUNT", 8)
+        assert run(["reduce", "almost", files["p4"], "--pivot", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert not out and err == "error: gadget has 9 vertices, above the limit 8\n"
 
     def test_almost_requires_pivot(self, files, capsys):
         assert run(["reduce", "almost", files["c4"]]) == 2

@@ -236,6 +236,8 @@ class TestGadgetShapes:
             (build_k4_instance, Hypergraph(8, [{0, 1, 2}]), Hypergraph(9, [{0, 1, 2}])),  # n + 2
             (lambda h: build_kpath_instance(h, 9), h, Hypergraph(4, [{0, 1, 2}])),  # n + 1 + 6
             (incidence_graph, Hypergraph(9, [{0, 1, 2}]), Hypergraph(10, [{0, 1, 2}])),  # n + 1
+            # n + 5; the edgeless 6-vertex graph is refused before the connectivity pass
+            (lambda g: build_almost_bipartite(g, 0), Graph(5, [(v, v + 1) for v in range(4)]), Graph(6)),
         ):
             assert build(fits).graph.n == 10
             with pytest.raises(ValueError, match="above the limit 10"):

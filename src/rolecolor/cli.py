@@ -248,7 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="cmd", required=True, parser_class=_SubcommandParser)
     search = argparse.ArgumentParser(add_help=False)  # flags shared by solve, rrole and hgcolor
     search.add_argument("--mode", choices=["decision", "witness", "count"], default="witness")
-    search.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="most candidate colors to try")
+    search.add_argument(
+        "--budget", type=int, default=DEFAULT_BUDGET,
+        help="most candidate colors to try; a raced solve or rrole search counts both its engines",
+    )
 
     p = sub.add_parser("verify", help="check a k-role coloring")
     p.add_argument("graph")

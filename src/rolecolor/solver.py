@@ -24,6 +24,7 @@ NO = "no"
 BUDGET_EXCEEDED = "budget-exceeded"
 
 DEFAULT_BUDGET = 10**8
+SLICE = 256  # nodes per turn when a certificate search races a closing-order refutation
 
 
 class BudgetExceeded(Exception):
@@ -37,7 +38,9 @@ class SolveResult:
     count: int | None = None
     nodes: int = 0
     certificates: tuple = ()  # enumerate mode only
-    order: str = "id"  # vertex order of the search: "closing" when no certificate is returned, else "id"
+    # the vertex order that answered: "closing" for a mode that returns no certificate, and
+    # for a "no" that the closing-order refutation raced against a certificate search reached
+    order: str = "id"
     leaves_rejected: int = 0  # completed colorings that failed the re-check; 0 with pruning on
 
     @property
@@ -84,6 +87,10 @@ class _Engine:
     R-role, later. Restricted growth, witnesses and enumeration follow the
     search order; a leaf is mapped back to the original ids before its check.
 
+    `walk` is the search loop as a generator: it pauses once nodes passes stop,
+    and `run` drains it with stop = the budget. So `_race` can run two engines in
+    turns on one graph, each resumed where it paused.
+
     lock[c] is the neighborhood color set (a bitmask) that every member of
     class c must see. An R-role search fills it with N_R(c) up front. A k-role
     search leaves it open (-1) until some member of c has its whole
@@ -129,7 +136,7 @@ class _Engine:
         self.k = k
         self.r = r
         self.mode = mode
-        self.budget = budget
+        self.stop = budget  # the walk pauses once nodes passes this
         self.pruning = pruning
         self.limit = limit
         self.pos = pos = [0] * n  # search-order id of each vertex
@@ -376,11 +383,14 @@ class _Engine:
         self.found.append(cert)
         return self.mode != ENUMERATE or len(self.found) >= self.limit
 
-    def run(self) -> str:
+    def walk(self):
+        """The search, as a generator: it pauses (yields the nodes counted so far)
+        each time nodes passes self.stop, and a resume goes on from the same node,
+        already counted. The caller may raise self.stop before resuming."""
         n, k = self.g.n, self.k
         top = [0] * (n + 1)  # highest color to try at each level; 0 at a dead end
         mark = [0] * n  # trail length before each level's coloring
-        trail, color, budget, pruning = self.trail, self.color, self.budget, self.pruning
+        trail, color, stop, pruning = self.trail, self.color, self.stop, self.pruning
         fits, apply, undo = self._fits, self._color, self._uncolor  # looked up once: the loop is hot
         nodes = self.nodes
         v = c = 0
@@ -401,9 +411,10 @@ class _Engine:
             while c < top[v]:
                 c += 1
                 nodes += 1
-                if nodes > budget:
+                if nodes > stop:
                     self.nodes = nodes
-                    return BUDGET_EXCEEDED
+                    yield nodes
+                    stop = self.stop
                 if pruning and not fits(v, c):
                     continue
                 mark[v] = len(trail)
@@ -419,9 +430,40 @@ class _Engine:
                 c = color[v]
                 undo(v, mark[v])
         self.nodes = nodes
-        if self.mode == COUNT:
-            return YES if self.count else NO
-        return YES if self.found else NO
+
+    def answer(self) -> str:
+        """The status of a finished walk."""
+        return YES if self.count or self.found else NO
+
+    def run(self) -> str:
+        """Walk to the end, or until nodes passes the budget."""
+        return BUDGET_EXCEEDED if next(self.walk(), 0) else self.answer()
+
+
+def _race(s: _Engine, rival: _Engine, budget: int) -> str | None:
+    """Run s, an id-order certificate search, and rival, a closing-order decision
+    on the same graph, in turns of SLICE nodes, s first, under one shared budget.
+
+    The first conclusive answer wins: s's status once s ends, None once rival
+    refutes. A coloring that rival finds is not the documented certificate, so
+    then rival is dropped and s runs on alone.
+    """
+    ids, refute = s.walk(), rival.walk()
+    end = 0  # each engine's turn ends once it has counted end nodes
+    while True:
+        end += SLICE
+        for e, walk, other in ((s, ids, rival), (rival, refute, s)):
+            e.stop = min(end, budget - other.nodes)
+            if next(walk, 0):  # paused: its turn or the budget ran out
+                if s.nodes + rival.nodes > budget:
+                    return BUDGET_EXCEEDED
+            elif e is s:
+                return s.answer()
+            elif not rival.found:
+                return None
+            else:
+                s.stop = budget - rival.nodes
+                return BUDGET_EXCEEDED if next(ids, 0) else s.answer()
 
 
 def _check_search_args(mode: str, budget: int, limit: int = 1) -> None:
@@ -441,22 +483,34 @@ def _solve(
     # a search that returns no certificate (k-role decision and count, R-role
     # count) runs in closing order, which changes only its node count: restricted
     # growth in any vertex order lists each partition once. Witnesses and
-    # enumerate lists follow vertex ids, their documented order.
+    # enumerate lists follow vertex ids, their documented order. A pruned search
+    # that returns a certificate (k-role witness, R-role decision and witness)
+    # races a closing-order decision (_race), since a "no" carries no certificate;
+    # nodes, leaves_rejected and the budget then count both engines.
     closing = mode not in cert_modes and mode != ENUMERATE
     name = "closing" if closing else "id"
-    if k > g.n:  # k colors need k vertices; answer before any per-color state is built
+    # k colors need k vertices: answer before any per-color state is built; this is
+    # not a search, so it answers at any budget
+    if k > g.n:
         return SolveResult(status=NO, count=0 if mode == COUNT else None, order=name)
     order = _closing_order(g) if closing else list(range(g.n))
     s = _Engine(g, k, r, mode, budget, pruning, limit, order)
-    status = s.run()
+    engines = [s]
+    if mode not in cert_modes or not pruning:
+        status = s.run()
+    else:
+        engines.append(_Engine(g, k, r, DECISION, budget, True, 1, _closing_order(g)))
+        status = _race(*engines, budget)
+        if status is None:
+            status, name = NO, "closing"
     return SolveResult(
         status=status,
         certificate=s.found[0] if (s.mode in cert_modes and s.found) else None,
         count=s.count if s.mode == COUNT else None,
-        nodes=s.nodes,
+        nodes=sum(e.nodes for e in engines),
         certificates=tuple(s.found) if s.mode == ENUMERATE else (),
         order=name,
-        leaves_rejected=s.rejected,
+        leaves_rejected=sum(e.rejected for e in engines),
     )
 
 

@@ -1,4 +1,5 @@
 import json
+import random
 import time
 from pathlib import Path
 
@@ -152,6 +153,14 @@ class TestSolve:
     def test_budget_exit_code(self, files, capsys):
         code, payload = run_json(capsys, ["solve", files["c4"], "-k", "2", "--budget", "1"])
         assert code == 3 and payload["answer"] == "budget-exceeded"
+
+    def test_witness_refuted_in_closing_order(self, tmp_path, capsys):
+        # G(16, 0.35) from random.Random(1) at k = 5: the id order alone takes 105,764 nodes
+        rng = random.Random(1)
+        p = tmp_path / "g16.graph"
+        p.write_text(Graph(16, [(u, v) for u in range(16) for v in range(u + 1, 16) if rng.random() < 0.35]).to_text())
+        code, payload = run_json(capsys, ["solve", str(p), "-k", "5", "--mode", "witness", "--budget", "20000"])
+        assert (code, payload["answer"], payload["stats"]["order"]) == (1, "no", "closing")
 
     def test_deep_path(self, files, tmp_path, capsys):
         # deeper than the interpreter's recursion limit

@@ -111,6 +111,12 @@ class TestSolveKRole:
             assert (res.status, res.nodes, res.certificate) == ("no", 0, None)
             assert res.count == (0 if mode == "count" else None)
 
+    def test_k_above_n_answers_at_any_budget(self, p4):
+        # not a search: the budget bounds search nodes only
+        for mode in MODES:
+            assert solve_k_role(p4, 5, mode=mode, budget=0).status == "no"
+        assert solve_k_role(p4, 1, budget=0).status == "budget-exceeded"
+
     def test_deep_path_witness(self):
         # deeper than the interpreter's recursion limit
         g = Graph(1500, [(i, i + 1) for i in range(1499)])
@@ -472,6 +478,84 @@ class TestClosingOrder:
         assert (res.status, res.order) == ("yes", "closing")
 
 
+class TestRace:
+    """A pruned search that returns a certificate (k-role witness, R-role decision
+    and witness) runs in turns of SLICE nodes against a closing-order decision,
+    the id-order search first; the first conclusive answer wins."""
+
+    @pytest.mark.parametrize("slice_", [1, 5, 256])
+    def test_same_answer_as_id_order(self, monkeypatch, slice_):
+        monkeypatch.setattr(solver, "SLICE", slice_)
+        rng = random.Random(101)
+        refuted = 0
+        for _ in range(50):
+            n = rng.randint(1, 9)
+            g = random_graph(rng, n, rng.choice((0.2, 0.4, 0.6)))
+            r = random_role_graph(rng, rng.randint(1, 3))
+            searches = [(r.colors, r, mode, naive_r_role(g, r)[2]) for mode in ("decision", "witness")]
+            for k in range(1, n + 1):
+                first = next(naive_k_role_partitions(g, k), None)
+                searches.append((k, None, "witness", first and first.assignment))
+            for k, role, mode, want in searches:
+                def search(**kw):
+                    if role is None:
+                        return solve_k_role(g, k, mode=mode, **kw)
+                    return solve_r_role(g, role, mode=mode, **kw)
+
+                res = search()
+                assert search(budget=res.nodes) == res
+                assert not res.nodes or search(budget=res.nodes - 1).status == "budget-exceeded"
+                bare = solver._Engine(g, k, role, mode, 10**6, True, 1, list(range(n)))
+                status, w = bare.run(), bare.nodes
+                d = run_engine(g, k, role, "decision", solver._closing_order(g))[2]
+                assert res.status == status == ("yes" if want else "no")
+                got = bare.found[0].assignment if bare.found else None
+                assert (res.certificate and res.certificate.assignment) == got == want
+                assert res.leaves_rejected == 0
+                # the id-order search goes first in each turn, so the closing one answers
+                # first only when it ends in an earlier turn
+                closing_first = -(-d // slice_) < -(-w // slice_)
+                assert res.order == ("closing" if closing_first and status == "no" else "id")
+                refuted += res.order == "closing"
+                if status == "yes":
+                    assert res.nodes <= w + min(w, d) + slice_
+                else:
+                    assert res.nodes <= 2 * min(w, d) + slice_
+        assert refuted  # the closing-order engine answered some of them
+
+    def test_chain_graph_witness_ends_in_the_first_turn(self):
+        h32 = chain_graph_from_degrees(18, [18, 18, 16, 14, 14, 13, 11, 11, 9, 6, 6, 5, 5, 2])
+        assert [solve_k_role(h32, k, mode="witness").nodes for k in (3, 4, 5)] == [51, 93, 94]
+
+    def test_closing_order_refutes(self):
+        g = random_graph(random.Random(1), 16, 0.35)
+        assert run_engine(g, 5, None, "witness", list(range(16))) == ("no", 0, 105764)
+        res = solve_k_role(g, 5, mode="witness")
+        assert (res.status, res.order, res.nodes) == ("no", "closing", 9495)
+
+    def test_budget_counts_both_engines(self):
+        # a budget of exactly the nodes a raced search takes lets it finish; one fewer stops it
+        k3_gadget = build_k3_instance(parse_hypergraph(HYPERGRAPH)).graph
+        for g, k in ((random_graph(random.Random(1), 16, 0.35), 5), (k3_gadget, 3)):
+            full = solve_k_role(g, k, mode="witness")
+            assert solve_k_role(g, k, mode="witness", budget=full.nodes) == full
+            assert solve_k_role(g, k, mode="witness", budget=full.nodes - 1).status == "budget-exceeded"
+
+    def test_single_engine_searches(self):
+        # pruning=False, enumerate and the closing-order modes take the bare engine's nodes
+        g = random_graph(random.Random(3), 9, 0.4)
+        ids, closing = list(range(9)), solver._closing_order(g)
+        for mode, order, kw in (
+            ("witness", ids, {"pruning": False}),
+            ("enumerate", ids, {}),
+            ("decision", closing, {}),
+            ("count", closing, {}),
+        ):
+            s = solver._Engine(g, 3, None, mode, 10**6, kw.get("pruning", True), 1, order)
+            s.run()
+            assert solve_k_role(g, 3, mode=mode, **kw).nodes == s.nodes
+
+
 # 9 vertices, 7 triples: the hypergraph that CI also runs through `reduce k3` and `solve`
 HYPERGRAPH = "9 7\n3 1 5 7\n3 1 3 5\n3 1 6 7\n3 4 5 6\n3 1 6 8\n3 0 1 5\n3 0 2 6\n"
 
@@ -490,8 +574,9 @@ class TestOpenerBound:
     def test_gadget_nodes(self):
         h = parse_hypergraph(HYPERGRAPH)
         g = build_k3_instance(h).graph
+        assert run_engine(g, 3, None, "witness", list(range(g.n)))[2] <= 1400  # 27,875 without the bound
         res = solve_k_role(g, 3, mode="witness")
-        assert res.nodes <= 1400  # 27,875 without the bound
+        assert res.nodes == 1856  # the id-order search and the closing-order decision it races
         assert res.certificate.assignment == (1,) * 5 + (2, 2, 1, 1) + (3,) * 16 + (2,) * 5 + (1, 1, 2, 2)
         assert verify_k_role(g, res.certificate) is None
         res = solve_k_role(build_k4_instance(h).graph, 4)
@@ -515,8 +600,10 @@ class TestOpenerBound:
             for mode in MODES:
                 solve_r_role(g, r, mode=mode, limit=3)
                 solve_k_role(g, rng.randint(1, g.n), mode=mode, limit=3, pruning=False)
-        # R-role node counts, as before the bound
+        # R-role node counts, as before the bound: decision in id order alone, and count
         rng = random.Random(5)
         g = Graph(34, [(u, v) for u in range(34) for v in range(u + 1, 34) if rng.random() < 0.2])
         looped = RoleGraph(2, [(1, 1), (1, 2)])
-        assert [solve_r_role(g, looped, mode=m).nodes for m in ("decision", "count")] == [1793, 37504]
+        assert run_engine(g, 2, looped, "decision", list(range(34)))[2] == 1793
+        assert solve_r_role(g, looped, mode="count").nodes == 37504
+        assert solve_r_role(g, looped).nodes == 1841  # decision races a closing-order decision

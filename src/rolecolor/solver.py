@@ -9,6 +9,7 @@ against the definition before it is reported.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .graph import Graph
@@ -41,7 +42,7 @@ class SolveResult:
     # the vertex order that answered: "closing" for a mode that returns no certificate, and
     # for a "no" that the closing-order refutation raced against a certificate search reached
     order: str = "id"
-    leaves_rejected: int = 0  # completed colorings that failed the re-check; 0 with pruning on
+    leaves_rejected: int = 0  # completed colorings that failed the re-check; 0 unless a rule is wrong
 
     @property
     def answer(self) -> bool:
@@ -105,7 +106,7 @@ class _Engine:
     lazily and every change to seen go on one trail stack (a lock as c; a seen
     change as its old value, then -c), undone on backtrack.
 
-    Pruning (answer-preserving; a k-role search drops it with `pruning=False`):
+    Pruning (answer-preserving):
       * surjectivity: the remaining vertices must cover the unused colors, and
         (k-role) when they are exactly as many, each of them opens a new color;
       * opener bound (k-role): each unused color needs an uncolored vertex of
@@ -128,8 +129,7 @@ class _Engine:
     """
 
     def __init__(
-        self, g: Graph, k: int, r: RoleGraph | None, mode: str, budget: int, pruning: bool, limit: int,
-        order: list[int],
+        self, g: Graph, k: int, r: RoleGraph | None, mode: str, budget: int, limit: int, order: list[int]
     ):
         n = g.n
         self.g = g
@@ -137,7 +137,6 @@ class _Engine:
         self.r = r
         self.mode = mode
         self.stop = budget  # the walk pauses once nodes passes this
-        self.pruning = pruning
         self.limit = limit
         self.pos = pos = [0] * n  # search-order id of each vertex
         for i, v in enumerate(order):
@@ -202,8 +201,6 @@ class _Engine:
             rem[u] -= 1
         if self.r is not None:
             return self._ahead(v)  # R-role locks are all set up front: nothing to close
-        if not self.pruning:
-            return True
         if not self._settle(v):
             return False
         return self._openers(v) if self.n_used < self.k else self._forward(v)
@@ -390,7 +387,7 @@ class _Engine:
         n, k = self.g.n, self.k
         top = [0] * (n + 1)  # highest color to try at each level; 0 at a dead end
         mark = [0] * n  # trail length before each level's coloring
-        trail, color, stop, pruning = self.trail, self.color, self.stop, self.pruning
+        trail, color, stop = self.trail, self.color, self.stop
         fits, apply, undo = self._fits, self._color, self._uncolor  # looked up once: the loop is hot
         nodes = self.nodes
         v = c = 0
@@ -403,10 +400,10 @@ class _Engine:
                     if self.n_used == k and self._leaf():
                         break
                 elif self.r is not None:  # every role left unused needs a vertex of its own
-                    top[v] = 0 if pruning and k - self.n_used > n - v else k
+                    top[v] = 0 if k - self.n_used > n - v else k
                 else:  # k-role: the forced new color below keeps k - n_used <= n - v
                     top[v] = min(self.n_used + 1, k)
-                    if pruning and k - self.n_used == n - v:
+                    if k - self.n_used == n - v:
                         c = self.n_used  # every vertex left must open a new color: try only n_used + 1
             while c < top[v]:
                 c += 1
@@ -415,7 +412,7 @@ class _Engine:
                     self.nodes = nodes
                     yield nodes
                     stop = self.stop
-                if pruning and not fits(v, c):
+                if not fits(v, c):
                     continue
                 mark[v] = len(trail)
                 if apply(v, c):
@@ -440,19 +437,29 @@ class _Engine:
         return BUDGET_EXCEEDED if next(self.walk(), 0) else self.answer()
 
 
-def _race(s: _Engine, rival: _Engine, budget: int) -> str | None:
-    """Run s, an id-order certificate search, and rival, a closing-order decision
-    on the same graph, in turns of SLICE nodes, s first, under one shared budget.
+def _race(engines: list[_Engine], make_rival: Callable[[], _Engine], budget: int) -> str | None:
+    """Run s = engines[0], an id-order certificate search, and a closing-order
+    decision on the same graph, in turns of SLICE nodes, s first, under one shared
+    budget. make_rival() builds the decision, which joins engines, only once s
+    outlives its first turn.
 
-    The first conclusive answer wins: s's status once s ends, None once rival
-    refutes. A coloring that rival finds is not the documented certificate, so
-    then rival is dropped and s runs on alone.
+    The first conclusive answer wins: s's status once s ends, None once the
+    decision refutes. A coloring that it finds is not the documented certificate,
+    so then it is dropped and s runs on alone.
     """
-    ids, refute = s.walk(), rival.walk()
+    s = engines[0]
+    ids = s.walk()
+    s.stop = min(SLICE, budget)
+    if not next(ids, 0):  # s ended inside its first turn: no rival is built
+        return s.answer()
+    if s.nodes > budget:
+        return BUDGET_EXCEEDED
+    engines.append(rival := make_rival())
+    refute = rival.walk()
     end = 0  # each engine's turn ends once it has counted end nodes
     while True:
         end += SLICE
-        for e, walk, other in ((s, ids, rival), (rival, refute, s)):
+        for e, walk, other in ((s, ids, rival), (rival, refute, s))[end == SLICE :]:  # s had turn 1 above
             e.stop = min(end, budget - other.nodes)
             if next(walk, 0):  # paused: its turn or the budget ran out
                 if s.nodes + rival.nodes > budget:
@@ -477,14 +484,13 @@ def _check_search_args(mode: str, budget: int, limit: int = 1) -> None:
 
 
 def _solve(
-    g: Graph, k: int, r: RoleGraph | None, mode: str, budget: int, pruning: bool, limit: int,
-    cert_modes: tuple,
+    g: Graph, k: int, r: RoleGraph | None, mode: str, budget: int, limit: int, cert_modes: tuple
 ) -> SolveResult:
     # a search that returns no certificate (k-role decision and count, R-role
     # count) runs in closing order, which changes only its node count: restricted
     # growth in any vertex order lists each partition once. Witnesses and
-    # enumerate lists follow vertex ids, their documented order. A pruned search
-    # that returns a certificate (k-role witness, R-role decision and witness)
+    # enumerate lists follow vertex ids, their documented order. A search that
+    # returns a certificate (k-role witness, R-role decision and witness)
     # races a closing-order decision (_race), since a "no" carries no certificate;
     # nodes, leaves_rejected and the budget then count both engines.
     closing = mode not in cert_modes and mode != ENUMERATE
@@ -494,13 +500,12 @@ def _solve(
     if k > g.n:
         return SolveResult(status=NO, count=0 if mode == COUNT else None, order=name)
     order = _closing_order(g) if closing else list(range(g.n))
-    s = _Engine(g, k, r, mode, budget, pruning, limit, order)
+    s = _Engine(g, k, r, mode, budget, limit, order)
     engines = [s]
-    if mode not in cert_modes or not pruning:
+    if mode not in cert_modes:
         status = s.run()
     else:
-        engines.append(_Engine(g, k, r, DECISION, budget, True, 1, _closing_order(g)))
-        status = _race(*engines, budget)
+        status = _race(engines, lambda: _Engine(g, k, r, DECISION, budget, 1, _closing_order(g)), budget)
         if status is None:
             status, name = NO, "closing"
     return SolveResult(
@@ -519,7 +524,6 @@ def solve_k_role(
     k: int,
     mode: str = DECISION,
     budget: int = DEFAULT_BUDGET,
-    pruning: bool = True,
     limit: int = 1,
 ) -> SolveResult:
     """Decide / witness / count / enumerate valid k-role colorings of g.
@@ -530,7 +534,7 @@ def solve_k_role(
     if k < 1:
         raise ValueError("k must be >= 1")
     _check_search_args(mode, budget, limit)
-    return _solve(g, k, None, mode, budget, pruning, limit, (WITNESS,))
+    return _solve(g, k, None, mode, budget, limit, (WITNESS,))
 
 
 def solve_r_role(
@@ -547,4 +551,4 @@ def solve_r_role(
     if r.colors < 1:
         raise ValueError("role graph must have at least one color")
     _check_search_args(mode, budget, limit)
-    return _solve(g, r.colors, r, mode, budget, True, limit, (WITNESS, DECISION))
+    return _solve(g, r.colors, r, mode, budget, limit, (WITNESS, DECISION))

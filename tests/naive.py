@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to cross-check the solvers.
 
 Everything here enumerates plainly (all surjective maps, all assignments) and
-never reuses the production search code, except `RescanEngine`, which keeps the
-engine's walk and spells out only its incremental pruning rules.
+never reuses the production search code, except two subclasses of its engine
+that keep its walk: `RescanEngine` spells out the incremental pruning rules,
+and `BareEngine` switches the k-role rules off.
 """
 
 from __future__ import annotations
@@ -102,7 +103,8 @@ def naive_r_role(g: Graph, r: RoleGraph) -> tuple[bool, int, tuple | None]:
 def naive_k_role_partitions(g: Graph, k: int):
     """Plain restricted-growth enumeration with a leaf check and no pruning.
 
-    Kept as the spelled-out baseline for the pruning-neutrality tests.
+    The reference for every answer, count, witness and enumerate list of a
+    k-role search small enough to enumerate.
     """
     n = g.n
     if k > n:
@@ -184,6 +186,24 @@ class RescanEngine(_Engine):
 
     def _ahead(self, v: int) -> bool:
         return all(self._need(self.nbr_mask[u]) <= self.rem[u] for u in self.adj[v] if not self.color[u])
+
+
+class BareEngine(_Engine):
+    """The k-role search engine with its rules switched off: every color fits, and
+    no class is locked or checked after a coloring, so every surjective coloring
+    the walk reaches is a leaf and the leaf re-check rejects the invalid ones.
+
+    The walk's forced new color stays: it cuts only branches that can never use
+    all k colors, so the leaves are those of an unpruned walk.
+    """
+
+    def _fits(self, v: int, c: int) -> bool:
+        return True
+
+    def _settle(self, v: int) -> bool:
+        return True
+
+    _openers = _forward = _settle
 
 
 def naive_closing_order(g: Graph) -> list:

@@ -1,6 +1,8 @@
 """The public API: `from rolecolor import *` gives every name in `__all__`, and
 the helpers that only the tests use are not shipped in the package."""
 
+import inspect
+
 import pytest
 
 import rolecolor
@@ -43,3 +45,15 @@ def test_all_has_no_repeats():
 def test_test_only_helpers_are_not_shipped(owner, name):
     # they live in tests/gadget_proofs.py, tests/naive.py and tests/generators.py
     assert not hasattr(owner, name)
+
+
+@pytest.mark.parametrize(
+    "search, params",
+    [
+        (rolecolor.solve_k_role, ["g", "k", "mode", "budget", "limit"]),
+        (rolecolor.solve_r_role, ["g", "r", "mode", "budget", "limit"]),
+    ],
+)
+def test_search_signatures(search, params):
+    # the shipped engine has one configuration: no switch for its rules
+    assert list(inspect.signature(search).parameters) == params

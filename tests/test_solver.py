@@ -17,6 +17,7 @@ from rolecolor import solver
 from generators import chain_graph_from_degrees, random_connected_hypergraph, random_graph
 from rolecolor.reductions import build_k3_instance, build_k4_instance, parse_hypergraph
 from naive import (
+    BareEngine,
     RescanEngine,
     naive_closing_order,
     naive_k_role,
@@ -126,35 +127,31 @@ class TestSolveKRole:
 
 
 class TestPruningNeutrality:
-    def test_pruned_equals_unpruned(self):
+    def test_matches_spelled_out_baseline(self, monkeypatch):
+        # the same count as plain enumeration, in no more nodes than the walk with its rules off
         rng = random.Random(17)
         for _ in range(150):
             g = random_graph(rng, rng.randint(1, 7))
             k = rng.randint(1, g.n)
-            pruned = solve_k_role(g, k, mode="count")
-            plain = solve_k_role(g, k, mode="count", pruning=False)
-            assert pruned.count == plain.count
-            assert pruned.nodes <= plain.nodes
 
-    def test_matches_spelled_out_baseline(self):
-        rng = random.Random(23)
-        for _ in range(60):
-            g = random_graph(rng, rng.randint(1, 6))
-            k = rng.randint(1, g.n)
-            baseline = sum(1 for _ in naive_k_role_partitions(g, k))
-            assert solve_k_role(g, k, mode="count").count == baseline
+            def search():
+                return solve_k_role(g, k, mode="count")
+
+            pruned, plain = search(), run_with(monkeypatch, BareEngine, search)
+            assert pruned.count == plain.count == sum(1 for _ in naive_k_role_partitions(g, k))
+            assert pruned.nodes <= plain.nodes
 
 
 class TestForcedNewColor:
     """Once the vertices left are exactly as many as the unused colors, each of
     them must open a new color, so a k-role search tries no old color there."""
 
-    def test_matches_oracle_and_unpruned(self):
+    def test_matches_oracle_and_unpruned(self, monkeypatch):
         # every k up to n: k near n is where the rule fires
         rng = random.Random(79)
         for _ in range(24):
             assert_every_k_matches_oracle_and_unpruned(
-                random_graph(rng, rng.randint(1, 9), rng.choice((0.2, 0.4, 0.6)))
+                monkeypatch, random_graph(rng, rng.randint(1, 9), rng.choice((0.2, 0.4, 0.6)))
             )
 
     def test_path_opens_a_color_per_vertex(self):
@@ -208,7 +205,8 @@ class TestLeafCheck:
                 assert res.leaves_rejected == 0
 
     def test_rejected_leaves_are_counted(self, monkeypatch):
-        # without pruning, every surjective coloring is a leaf, and the invalid ones are rejected
+        # with the rules off, every surjective coloring is a leaf, and the invalid ones are rejected
+        monkeypatch.setattr(solver, "_Engine", BareEngine)
         rejected = []
 
         def check(*args):
@@ -218,14 +216,14 @@ class TestLeafCheck:
 
         monkeypatch.setattr(solver, "verify_k_role", check)
         p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
-        res = solve_k_role(p4, 3, mode="count", pruning=False)
+        res = solve_k_role(p4, 3, mode="count")
         assert (res.count, res.leaves_rejected) == (0, 6)  # the six 3-partitions of P4
         rng = random.Random(61)
         for _ in range(40):
             g = random_graph(rng, rng.randint(1, 7))
             k = rng.randint(1, g.n)
             rejected.clear()
-            res = solve_k_role(g, k, mode="count", pruning=False)
+            res = solve_k_role(g, k, mode="count")
             assert res.leaves_rejected == sum(rejected)
             assert len(rejected) == res.count + res.leaves_rejected
 
@@ -340,24 +338,24 @@ def oracle_outcome(valid, mode):
     )
 
 
-def assert_every_k_matches_oracle_and_unpruned(g):
-    """For every k up to n and every mode, the pruned search answers as the oracle
-    and the unpruned search do, in no more nodes than the unpruned one."""
+def assert_every_k_matches_oracle_and_unpruned(monkeypatch, g):
+    """For every k up to n and every mode, the search answers as the oracle and
+    BareEngine (the rules off) do, in no more nodes than BareEngine."""
     for k in range(1, g.n + 1):
         valid = [c.assignment for c in naive_k_role_partitions(g, k)]
         for mode in MODES:
-            def search(**kw):
-                return solve_k_role(g, k, mode=mode, limit=3, **kw)
+            def search():
+                return solve_k_role(g, k, mode=mode, limit=3)
 
-            res, plain = search(), search(pruning=False)
+            res, plain = search(), run_with(monkeypatch, BareEngine, search)
             assert outcome(res) == outcome(plain) == oracle_outcome(valid, mode), (sorted(g.edges), k, mode)
             assert res.nodes <= plain.nodes
 
 
-def rescanned(monkeypatch, search):
-    """Run `search` with the engine replaced by the from-scratch RescanEngine."""
+def run_with(monkeypatch, engine, search):
+    """Run `search` with the solver's engine replaced by `engine`."""
     with monkeypatch.context() as m:
-        m.setattr(solver, "_Engine", RescanEngine)
+        m.setattr(solver, "_Engine", engine)
         return search()
 
 
@@ -372,14 +370,15 @@ class TestIncrementalRules:
             for k in range(1, 5):
                 valid = [c.assignment for c in naive_k_role_partitions(g, k)]
                 for mode in MODES:
-                    def search(**kw):
-                        return solve_k_role(g, k, mode=mode, limit=3, **kw)
+                    def search():
+                        return solve_k_role(g, k, mode=mode, limit=3)
 
                     res = search()
-                    ref = rescanned(monkeypatch, search)
+                    ref = run_with(monkeypatch, RescanEngine, search)
+                    plain = run_with(monkeypatch, BareEngine, search)
                     want = oracle_outcome(valid, mode)
                     assert res.nodes == ref.nodes, (sorted(g.edges), k, mode)
-                    assert outcome(res) == outcome(ref) == outcome(search(pruning=False)) == want
+                    assert outcome(res) == outcome(ref) == outcome(plain) == want
 
     def test_r_role_look_ahead_matches_rescan(self, monkeypatch):
         rng = random.Random(73)
@@ -390,7 +389,7 @@ class TestIncrementalRules:
                 def search():
                     return solve_r_role(g, r, mode=mode, limit=3)
 
-                res, ref = search(), rescanned(monkeypatch, search)
+                res, ref = search(), run_with(monkeypatch, RescanEngine, search)
                 assert (res.nodes, outcome(res)) == (ref.nodes, outcome(ref)), (sorted(g.edges), r.edges, mode)
 
     def test_rules_cut_witness_nodes(self):
@@ -411,7 +410,7 @@ def random_role_graph(rng, colors):
 
 def run_engine(g, k, r, mode, order):
     """(status, count, nodes) of one engine search in the given vertex order."""
-    s = solver._Engine(g, k, r, mode, 10**6, True, 1, order)
+    s = solver._Engine(g, k, r, mode, 10**6, 1, order)
     return s.run(), s.count, s.nodes
 
 
@@ -479,7 +478,7 @@ class TestClosingOrder:
 
 
 class TestRace:
-    """A pruned search that returns a certificate (k-role witness, R-role decision
+    """A search that returns a certificate (k-role witness, R-role decision
     and witness) runs in turns of SLICE nodes against a closing-order decision,
     the id-order search first; the first conclusive answer wins."""
 
@@ -505,7 +504,7 @@ class TestRace:
                 res = search()
                 assert search(budget=res.nodes) == res
                 assert not res.nodes or search(budget=res.nodes - 1).status == "budget-exceeded"
-                bare = solver._Engine(g, k, role, mode, 10**6, True, 1, list(range(n)))
+                bare = solver._Engine(g, k, role, mode, 10**6, 1, list(range(n)))
                 status, w = bare.run(), bare.nodes
                 d = run_engine(g, k, role, "decision", solver._closing_order(g))[2]
                 assert res.status == status == ("yes" if want else "no")
@@ -523,7 +522,12 @@ class TestRace:
                     assert res.nodes <= 2 * min(w, d) + slice_
         assert refuted  # the closing-order engine answered some of them
 
-    def test_chain_graph_witness_ends_in_the_first_turn(self):
+    def test_chain_graph_witness_ends_in_the_first_turn(self, monkeypatch):
+        # so the closing-order rival is never built
+        def fail(g):
+            raise AssertionError("the closing order was computed")
+
+        monkeypatch.setattr(solver, "_closing_order", fail)
         h32 = chain_graph_from_degrees(18, [18, 18, 16, 14, 14, 13, 11, 11, 9, 6, 6, 5, 5, 2])
         assert [solve_k_role(h32, k, mode="witness").nodes for k in (3, 4, 5)] == [51, 93, 94]
 
@@ -542,18 +546,11 @@ class TestRace:
             assert solve_k_role(g, k, mode="witness", budget=full.nodes - 1).status == "budget-exceeded"
 
     def test_single_engine_searches(self):
-        # pruning=False, enumerate and the closing-order modes take the bare engine's nodes
+        # enumerate and the closing-order modes take the bare engine's nodes
         g = random_graph(random.Random(3), 9, 0.4)
         ids, closing = list(range(9)), solver._closing_order(g)
-        for mode, order, kw in (
-            ("witness", ids, {"pruning": False}),
-            ("enumerate", ids, {}),
-            ("decision", closing, {}),
-            ("count", closing, {}),
-        ):
-            s = solver._Engine(g, 3, None, mode, 10**6, kw.get("pruning", True), 1, order)
-            s.run()
-            assert solve_k_role(g, 3, mode=mode, **kw).nodes == s.nodes
+        for mode, order in (("enumerate", ids), ("decision", closing), ("count", closing)):
+            assert solve_k_role(g, 3, mode=mode).nodes == run_engine(g, 3, None, mode, order)[2]
 
 
 # 9 vertices, 7 triples: the hypergraph that CI also runs through `reduce k3` and `solve`
@@ -565,11 +562,11 @@ class TestOpenerBound:
     neighbor (one in a locked class, or an uncolored one that can only join a
     locked class) to open it."""
 
-    def test_matches_oracle_and_unpruned_with_isolated_vertices(self):
+    def test_matches_oracle_and_unpruned_with_isolated_vertices(self, monkeypatch):
         rng = random.Random(83)
         for _ in range(24):
             core = random_graph(rng, rng.randint(1, 7), rng.choice((0.3, 0.5, 0.7)))
-            assert_every_k_matches_oracle_and_unpruned(Graph(core.n + rng.randint(1, 2), core.edges))
+            assert_every_k_matches_oracle_and_unpruned(monkeypatch, Graph(core.n + rng.randint(1, 2), core.edges))
 
     def test_gadget_nodes(self):
         h = parse_hypergraph(HYPERGRAPH)
@@ -599,7 +596,6 @@ class TestOpenerBound:
             r = random_role_graph(rng, rng.randint(1, 3))
             for mode in MODES:
                 solve_r_role(g, r, mode=mode, limit=3)
-                solve_k_role(g, rng.randint(1, g.n), mode=mode, limit=3, pruning=False)
         # R-role node counts, as before the bound: decision in id order alone, and count
         rng = random.Random(5)
         g = Graph(34, [(u, v) for u in range(34) for v in range(u + 1, 34) if rng.random() < 0.2])

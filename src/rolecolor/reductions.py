@@ -21,9 +21,7 @@ from .solver import (
     COUNT,
     DECISION,
     DEFAULT_BUDGET,
-    ENUMERATE,
     NO,
-    WITNESS,
     YES,
     SolveResult,
     _check_search_args,
@@ -206,7 +204,6 @@ def hypergraph_k_colorable(
     mode: str = DECISION,
     budget: int = DEFAULT_BUDGET,
     require_surjective: bool = True,
-    limit: int = 1,
 ) -> SolveResult:
     """Backtracking hypergraph coloring: no hyperedge monochromatic.
 
@@ -216,16 +213,16 @@ def hypergraph_k_colorable(
 
     Vertices take colors in ascending id order, colors in ascending order, on an
     explicit stack; a hyperedge is checked when its highest vertex is colored.
-    Valid colorings are closed under color permutation, so decision, witness
-    and count modes walk restricted growth strings only: the lexicographically
-    smallest coloring is one of them, and a valid partition into j blocks
-    stands for k!/(k-j)! colorings in the count. Enumerate mode walks all k
-    colors, in lexicographic order. `nodes` counts candidate colors, and the
-    budget bounds it.
+    Valid colorings are closed under color permutation, so the search walks
+    restricted growth strings only: the lexicographically smallest coloring is
+    one of them, and a valid partition into j blocks stands for k!/(k-j)!
+    colorings in the count. Decision and witness modes both return that
+    smallest coloring. `nodes` counts candidate colors, and the budget bounds
+    it.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    _check_search_args(mode, budget, limit)
+    _check_search_args(mode, budget)
     n = h.n
     if require_surjective and k > n:
         return SolveResult(status=NO, count=0 if mode == COUNT else None)
@@ -233,12 +230,11 @@ def hypergraph_k_colorable(
     for e in h.edges:
         last = max(e)
         closing[last].append(tuple(q for q in e if q != last))
-    rgs = mode != ENUMERATE
     color = [0] * n
     used = [0] * (n + 1)  # number of distinct colors before each level
     top = [0] * (n + 1)  # highest color to try at each level; 0 at a dead end and at the leaf
     nodes = count = 0
-    found = []
+    found = None
     v = c = 0
     fresh = True
     while True:
@@ -251,13 +247,12 @@ def hypergraph_k_colorable(
                     if mode == COUNT:
                         count += perm(k, j)
                     else:
-                        found.append(RoleColoring(tuple(color), k))
-                        if mode != ENUMERATE or len(found) >= limit:
-                            break
+                        found = RoleColoring(tuple(color), k)
+                        break
             elif require_surjective and k - used[v] > n - v:
                 top[v] = 0
             else:
-                top[v] = min(used[v] + 1, k) if rgs else k
+                top[v] = min(used[v] + 1, k)
         while c < top[v]:
             c += 1
             nodes += 1
@@ -268,10 +263,7 @@ def hypergraph_k_colorable(
                     break  # c would make this hyperedge monochromatic
             else:
                 color[v] = c
-                if rgs:
-                    used[v + 1] = max(used[v], c)
-                else:
-                    used[v + 1] = used[v] + (c not in color[:v])
+                used[v + 1] = max(used[v], c)
                 v += 1
                 fresh = True
                 break
@@ -282,10 +274,5 @@ def hypergraph_k_colorable(
             c = color[v]
     if mode == COUNT:
         return SolveResult(status=YES if count else NO, count=count, nodes=nodes)
-    return SolveResult(
-        status=YES if found else NO,
-        certificate=found[0] if (found and mode in (WITNESS, DECISION)) else None,
-        nodes=nodes,
-        certificates=tuple(found) if mode == ENUMERATE else (),
-    )
+    return SolveResult(status=YES if found else NO, certificate=found, nodes=nodes)
 

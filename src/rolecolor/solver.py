@@ -18,7 +18,6 @@ from .roles import RoleColoring, RoleGraph, verify_k_role, verify_r_role
 DECISION = "decision"
 WITNESS = "witness"
 COUNT = "count"
-ENUMERATE = "enumerate"
 
 YES = "yes"
 NO = "no"
@@ -38,7 +37,6 @@ class SolveResult:
     certificate: RoleColoring | None = None
     count: int | None = None
     nodes: int = 0
-    certificates: tuple = ()  # enumerate mode only
     # the vertex order that answered: "closing" for a mode that returns no certificate, and
     # for a "no" that the closing-order refutation raced against a certificate search reached
     order: str = "id"
@@ -85,8 +83,8 @@ class _Engine:
 
     The engine renames vertex order[i] to i and keeps its own adjacency lists in
     those ids: adj (all neighbors), earlier (placed before the vertex) and, for
-    R-role, later. Restricted growth, witnesses and enumeration follow the
-    search order; a leaf is mapped back to the original ids before its check.
+    R-role, later. Restricted growth and witnesses follow the search order; a
+    leaf is mapped back to the original ids before its check.
 
     `walk` is the search loop as a generator: it pauses once nodes passes stop,
     and `run` drains it with stop = the budget. So `_race` can run two engines in
@@ -128,16 +126,13 @@ class _Engine:
         once all k colors are in use.
     """
 
-    def __init__(
-        self, g: Graph, k: int, r: RoleGraph | None, mode: str, budget: int, limit: int, order: list[int]
-    ):
+    def __init__(self, g: Graph, k: int, r: RoleGraph | None, mode: str, budget: int, order: list[int]):
         n = g.n
         self.g = g
         self.k = k
         self.r = r
         self.mode = mode
         self.stop = budget  # the walk pauses once nodes passes this
-        self.limit = limit
         self.pos = pos = [0] * n  # search-order id of each vertex
         for i, v in enumerate(order):
             pos[v] = i
@@ -378,7 +373,7 @@ class _Engine:
             self.count += 1
             return False
         self.found.append(cert)
-        return self.mode != ENUMERATE or len(self.found) >= self.limit
+        return True
 
     def walk(self):
         """The search, as a generator: it pauses (yields the nodes counted so far)
@@ -473,82 +468,65 @@ def _race(engines: list[_Engine], make_rival: Callable[[], _Engine], budget: int
                 return BUDGET_EXCEEDED if next(ids, 0) else s.answer()
 
 
-def _check_search_args(mode: str, budget: int, limit: int = 1) -> None:
-    """ValueError unless mode is known, budget >= 0 and (in enumerate mode) limit >= 1."""
-    if mode not in (DECISION, WITNESS, COUNT, ENUMERATE):
+def _check_search_args(mode: str, budget: int) -> None:
+    """ValueError unless mode is known and budget >= 0."""
+    if mode not in (DECISION, WITNESS, COUNT):
         raise ValueError(f"unknown mode {mode!r}")
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    if mode == ENUMERATE and limit < 1:
-        raise ValueError("enumerate limit must be >= 1")
 
 
-def _solve(
-    g: Graph, k: int, r: RoleGraph | None, mode: str, budget: int, limit: int, cert_modes: tuple
-) -> SolveResult:
+def _solve(g: Graph, k: int, r: RoleGraph | None, mode: str, budget: int, cert_modes: tuple) -> SolveResult:
     # a search that returns no certificate (k-role decision and count, R-role
     # count) runs in closing order, which changes only its node count: restricted
-    # growth in any vertex order lists each partition once. Witnesses and
-    # enumerate lists follow vertex ids, their documented order. A search that
-    # returns a certificate (k-role witness, R-role decision and witness)
-    # races a closing-order decision (_race), since a "no" carries no certificate;
-    # nodes, leaves_rejected and the budget then count both engines.
-    closing = mode not in cert_modes and mode != ENUMERATE
+    # growth in any vertex order lists each partition once. Witnesses follow
+    # vertex ids, their documented order. A search that returns a certificate
+    # (k-role witness, R-role decision and witness) races a closing-order
+    # decision (_race), since a "no" carries no certificate; nodes,
+    # leaves_rejected and the budget then count both engines.
+    closing = mode not in cert_modes
     name = "closing" if closing else "id"
     # k colors need k vertices: answer before any per-color state is built; this is
     # not a search, so it answers at any budget
     if k > g.n:
         return SolveResult(status=NO, count=0 if mode == COUNT else None, order=name)
     order = _closing_order(g) if closing else list(range(g.n))
-    s = _Engine(g, k, r, mode, budget, limit, order)
+    s = _Engine(g, k, r, mode, budget, order)
     engines = [s]
-    if mode not in cert_modes:
+    if closing:
         status = s.run()
     else:
-        status = _race(engines, lambda: _Engine(g, k, r, DECISION, budget, 1, _closing_order(g)), budget)
+        status = _race(engines, lambda: _Engine(g, k, r, DECISION, budget, _closing_order(g)), budget)
         if status is None:
             status, name = NO, "closing"
     return SolveResult(
         status=status,
-        certificate=s.found[0] if (s.mode in cert_modes and s.found) else None,
-        count=s.count if s.mode == COUNT else None,
+        certificate=s.found[0] if (not closing and s.found) else None,
+        count=s.count if mode == COUNT else None,
         nodes=sum(e.nodes for e in engines),
-        certificates=tuple(s.found) if s.mode == ENUMERATE else (),
         order=name,
         leaves_rejected=sum(e.rejected for e in engines),
     )
 
 
-def solve_k_role(
-    g: Graph,
-    k: int,
-    mode: str = DECISION,
-    budget: int = DEFAULT_BUDGET,
-    limit: int = 1,
-) -> SolveResult:
-    """Decide / witness / count / enumerate valid k-role colorings of g.
+def solve_k_role(g: Graph, k: int, mode: str = DECISION, budget: int = DEFAULT_BUDGET) -> SolveResult:
+    """Decide / witness / count valid k-role colorings of g.
 
     Witnesses are the lexicographically smallest restricted-growth coloring;
     counts are up to color permutation.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    _check_search_args(mode, budget, limit)
-    return _solve(g, k, None, mode, budget, limit, (WITNESS,))
+    _check_search_args(mode, budget)
+    return _solve(g, k, None, mode, budget, (WITNESS,))
 
 
-def solve_r_role(
-    g: Graph,
-    r: RoleGraph,
-    mode: str = DECISION,
-    budget: int = DEFAULT_BUDGET,
-    limit: int = 1,
-) -> SolveResult:
-    """Decide / witness / count / enumerate locally surjective homomorphisms g -> r.
+def solve_r_role(g: Graph, r: RoleGraph, mode: str = DECISION, budget: int = DEFAULT_BUDGET) -> SolveResult:
+    """Decide / witness / count locally surjective homomorphisms g -> r.
 
     Witnesses are lexicographically smallest over the vertex-order assignment.
     """
     if r.colors < 1:
         raise ValueError("role graph must have at least one color")
-    _check_search_args(mode, budget, limit)
-    return _solve(g, r.colors, r, mode, budget, limit, (WITNESS, DECISION))
+    _check_search_args(mode, budget)
+    return _solve(g, r.colors, r, mode, budget, (WITNESS, DECISION))

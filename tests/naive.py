@@ -1,9 +1,10 @@
 """Independent brute-force oracles used to cross-check the solvers.
 
 Everything here enumerates plainly (all surjective maps, all assignments) and
-never reuses the production search code, except two subclasses of its engine
+never reuses the production search code, except three subclasses of its engine
 that keep its walk: `RescanEngine` spells out the incremental pruning rules,
-and `BareEngine` switches the k-role rules off.
+`BareEngine` switches the k-role rules off, and `enumerate_k_role`'s engine
+goes on past each witness.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from rolecolor.solver import (
     COUNT,
     DECISION,
     DEFAULT_BUDGET,
-    ENUMERATE,
     NO,
     WITNESS,
     YES,
@@ -103,8 +103,8 @@ def naive_r_role(g: Graph, r: RoleGraph) -> tuple[bool, int, tuple | None]:
 def naive_k_role_partitions(g: Graph, k: int):
     """Plain restricted-growth enumeration with a leaf check and no pruning.
 
-    The reference for every answer, count, witness and enumerate list of a
-    k-role search small enough to enumerate.
+    The reference for every answer, count, witness and enumerate_k_role list
+    of a k-role search small enough to enumerate.
     """
     n = g.n
     if k > n:
@@ -206,6 +206,26 @@ class BareEngine(_Engine):
     _openers = _forward = _settle
 
 
+class _Enumerator(_Engine):
+    """The engine in id order and witness mode, going on past each witness until it
+    has `limit` of them."""
+
+    def __init__(self, g: Graph, k: int, limit: int):
+        super().__init__(g, k, None, WITNESS, DEFAULT_BUDGET, list(range(g.n)))
+        self.limit = limit
+
+    def _leaf(self) -> bool:
+        return super()._leaf() and len(self.found) >= self.limit
+
+
+def enumerate_k_role(g: Graph, k: int, limit: int) -> list[RoleColoring]:
+    """The first `limit` valid k-role colorings of g, in the order the witness
+    search meets them: ascending restricted growth strings over vertex ids."""
+    e = _Enumerator(g, k, limit)
+    assert e.run() != BUDGET_EXCEEDED
+    return e.found
+
+
 def naive_closing_order(g: Graph) -> list:
     """The closing vertex order by a plain O(n^2) scan: each step takes the
     unplaced vertex with the most placed neighbors, then the fewest unplaced
@@ -239,7 +259,6 @@ def naive_hypergraph_k_colorable(
     mode: str = DECISION,
     budget: int = DEFAULT_BUDGET,
     require_surjective: bool = True,
-    limit: int = 1,
 ) -> SolveResult:
     """The product scan over all k^n assignments that `hypergraph_k_colorable` replaced.
 
@@ -251,10 +270,10 @@ def naive_hypergraph_k_colorable(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    _check_search_args(mode, budget, limit)
+    _check_search_args(mode, budget)
     nodes = 0
     count = 0
-    found = []
+    found = None
     for assignment in product(range(1, k + 1), repeat=h.n):
         nodes += 1
         if nodes > budget:
@@ -263,23 +282,14 @@ def naive_hypergraph_k_colorable(
             continue
         if any(len({assignment[q] for q in e}) == 1 for e in h.edges):
             continue
-        beta = RoleColoring(assignment, k)
         if mode == COUNT:
             count += 1
             continue
-        found.append(beta)
-        if mode != ENUMERATE or len(found) >= limit:
-            break
+        found = RoleColoring(assignment, k)
+        break
     if mode == COUNT:
-        status = YES if count else NO
-        return SolveResult(status=status, count=count, nodes=nodes)
-    status = YES if found else NO
-    return SolveResult(
-        status=status,
-        certificate=found[0] if (found and mode in (WITNESS, DECISION)) else None,
-        nodes=nodes,
-        certificates=tuple(found) if mode == ENUMERATE else (),
-    )
+        return SolveResult(status=YES if count else NO, count=count, nodes=nodes)
+    return SolveResult(status=YES if found else NO, certificate=found, nodes=nodes)
 
 
 def _naive_edge_list(text: str, check) -> tuple:

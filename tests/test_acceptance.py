@@ -35,7 +35,7 @@ from generators import (
 )
 
 from conftest import assert_observations, atlas_graphs
-from naive import identity_coloring, is_non_monochromatic, naive_k_role
+from naive import enumerate_k_role, identity_coloring, is_non_monochromatic, naive_k_role
 
 
 def sample_hypergraph(rng, max_q, max_s):
@@ -156,7 +156,7 @@ def test_criterion_4_single_pendant_gadget_iff():
             assert beta.used_colors() == {1, 2, 3}
         if i < 50 and left.answer:
             qs = vertices_tagged(gg, "Q")
-            for alpha in solve_k_role(gg.graph, 4, mode="enumerate", limit=100).certificates:
+            for alpha in enumerate_k_role(gg.graph, 4, 100):
                 sizes = len({alpha.assignment[v] for v in qs})
                 q_color_counts.add(sizes)
     assert counterexamples == []
@@ -190,7 +190,7 @@ def test_criterion_5_pendant_path_gadget_iff():
                 for v, tag in enumerate(gg.role_of):
                     if tag[0] == "PathS":
                         by_edge.setdefault(tag[1], []).append(v)
-                for alpha in solve_k_role(gg.graph, k, mode="enumerate", limit=50).certificates:
+                for alpha in enumerate_k_role(gg.graph, k, 50):
                     for vs in by_edge.values():
                         colors = [alpha.assignment[v] for v in vs]
                         assert len(set(colors)) == k - 3, colors
@@ -232,7 +232,7 @@ def test_criterion_7_structural_checks_on_sampled_valid_colorings():
         if g.n > 6:
             continue
         for k in range(1, g.n + 1):
-            for cert in solve_k_role(g, k, mode="enumerate", limit=25).certificates:
+            for cert in enumerate_k_role(g, k, 25):
                 assert_observations(g, cert)
                 seen += 1
     assert seen > 1000

@@ -19,6 +19,7 @@ from rolecolor.reductions import build_k3_instance, build_k4_instance, parse_hyp
 from naive import (
     BareEngine,
     RescanEngine,
+    enumerate_k_role,
     naive_closing_order,
     naive_k_role,
     naive_k_role_partitions,
@@ -26,7 +27,7 @@ from naive import (
     one_role_decision,
 )
 
-MODES = ("decision", "witness", "count", "enumerate")
+MODES = ("decision", "witness", "count")
 
 
 class TestOneRole:
@@ -75,10 +76,6 @@ class TestSolveKRole:
         assert a[0] == 1
         assert all(c <= max(a[:i], default=0) + 1 for i, c in enumerate(a))
 
-    def test_enumerate_respects_limit(self, c4):
-        res = solve_k_role(c4, 2, mode="enumerate", limit=2)
-        assert len(res.certificates) == 2
-
     def test_budget_exceeded_status(self):
         g = random_graph(random.Random(0), 12, 0.4)
         res = solve_k_role(g, 5, budget=10)
@@ -105,7 +102,7 @@ class TestSolveKRole:
 
     def test_huge_k_is_no_at_once(self, c4):
         # k colors need k vertices; the answer comes before any per-color state is built
-        for mode in ("decision", "witness", "count", "enumerate"):
+        for mode in MODES:
             start = time.perf_counter()
             res = solve_k_role(c4, 10**9, mode=mode)
             assert time.perf_counter() - start < 1.0
@@ -332,28 +329,28 @@ class TestSolveRRole:
 def outcome(res):
     """Everything a search answers, apart from its node count."""
     witness = res.certificate and res.certificate.assignment
-    return res.status, res.count, witness, [c.assignment for c in res.certificates]
+    return res.status, res.count, witness
 
 
 def oracle_outcome(valid, mode):
-    """The outcome a search in `mode` with limit=3 must have, given every valid
-    coloring in order."""
+    """The outcome a search in `mode` must have, given every valid coloring in order."""
     return (
         "yes" if valid else "no",
         len(valid) if mode == "count" else None,
         valid[0] if mode == "witness" and valid else None,
-        valid[:3] if mode == "enumerate" else [],
     )
 
 
 def assert_every_k_matches_oracle_and_unpruned(monkeypatch, g):
     """For every k up to n and every mode, the search answers as the oracle and
-    BareEngine (the rules off) do, in no more nodes than BareEngine."""
+    BareEngine (the rules off) do, in no more nodes than BareEngine; and the
+    witness walk, let go on, meets the first three colorings in the oracle's order."""
     for k in range(1, g.n + 1):
         valid = [c.assignment for c in naive_k_role_partitions(g, k)]
+        assert [c.assignment for c in enumerate_k_role(g, k, 3)] == valid[:3], (sorted(g.edges), k)
         for mode in MODES:
             def search():
-                return solve_k_role(g, k, mode=mode, limit=3)
+                return solve_k_role(g, k, mode=mode)
 
             res, plain = search(), run_with(monkeypatch, BareEngine, search)
             assert outcome(res) == outcome(plain) == oracle_outcome(valid, mode), (sorted(g.edges), k, mode)
@@ -379,7 +376,7 @@ class TestIncrementalRules:
                 valid = [c.assignment for c in naive_k_role_partitions(g, k)]
                 for mode in MODES:
                     def search():
-                        return solve_k_role(g, k, mode=mode, limit=3)
+                        return solve_k_role(g, k, mode=mode)
 
                     res = search()
                     ref = run_with(monkeypatch, RescanEngine, search)
@@ -395,7 +392,7 @@ class TestIncrementalRules:
             r = random_role_graph(rng, rng.randint(1, 4))
             for mode in MODES:
                 def search():
-                    return solve_r_role(g, r, mode=mode, limit=3)
+                    return solve_r_role(g, r, mode=mode)
 
                 res, ref = search(), run_with(monkeypatch, RescanEngine, search)
                 assert (res.nodes, outcome(res)) == (ref.nodes, outcome(ref)), (sorted(g.edges), r.edges, mode)
@@ -418,7 +415,7 @@ def random_role_graph(rng, colors):
 
 def run_engine(g, k, r, mode, order):
     """(status, count, nodes) of one engine search in the given vertex order."""
-    s = solver._Engine(g, k, r, mode, 10**6, 1, order)
+    s = solver._Engine(g, k, r, mode, 10**6, order)
     return s.run(), s.count, s.nodes
 
 
@@ -464,7 +461,6 @@ class TestClosingOrder:
             ("decision", "closing", "id"),
             ("witness", "id", "id"),
             ("count", "closing", "closing"),
-            ("enumerate", "id", "id"),
         ):
             assert solve_k_role(c4, 2, mode=mode).order == k_order
             assert solve_r_role(c4, edge, mode=mode).order == r_order
@@ -512,7 +508,7 @@ class TestRace:
                 res = search()
                 assert search(budget=res.nodes) == res
                 assert not res.nodes or search(budget=res.nodes - 1).status == "budget-exceeded"
-                bare = solver._Engine(g, k, role, mode, 10**6, 1, list(range(n)))
+                bare = solver._Engine(g, k, role, mode, 10**6, list(range(n)))
                 status, w = bare.run(), bare.nodes
                 d = run_engine(g, k, role, "decision", solver._closing_order(g))[2]
                 assert res.status == status == ("yes" if want else "no")
@@ -554,11 +550,11 @@ class TestRace:
             assert solve_k_role(g, k, mode="witness", budget=full.nodes - 1).status == "budget-exceeded"
 
     def test_single_engine_searches(self):
-        # enumerate and the closing-order modes take the bare engine's nodes
+        # the closing-order modes take the bare engine's nodes
         g = random_graph(random.Random(3), 9, 0.4)
-        ids, closing = list(range(9)), solver._closing_order(g)
-        for mode, order in (("enumerate", ids), ("decision", closing), ("count", closing)):
-            assert solve_k_role(g, 3, mode=mode).nodes == run_engine(g, 3, None, mode, order)[2]
+        closing = solver._closing_order(g)
+        for mode in ("decision", "count"):
+            assert solve_k_role(g, 3, mode=mode).nodes == run_engine(g, 3, None, mode, closing)[2]
 
 
 # 9 vertices, 7 triples: the hypergraph that CI also runs through `reduce k3` and `solve`
@@ -603,7 +599,7 @@ class TestOpenerBound:
             g = random_graph(rng, rng.randint(1, 7))
             r = random_role_graph(rng, rng.randint(1, 3))
             for mode in MODES:
-                solve_r_role(g, r, mode=mode, limit=3)
+                solve_r_role(g, r, mode=mode)
         # R-role node counts, as before the bound: decision in id order alone, and count
         rng = random.Random(5)
         g = Graph(34, [(u, v) for u in range(34) for v in range(u + 1, 34) if rng.random() < 0.2])

@@ -42,10 +42,6 @@ EXIT_ERROR = 2
 EXIT_BUDGET = 3
 
 
-class _CliError(Exception):
-    pass
-
-
 def _load(path: str, parse):
     """Read the file at path and parse it; a fault in the file names the path."""
     try:
@@ -53,11 +49,11 @@ def _load(path: str, parse):
             text = f.read()
         return parse(text)
     except OSError as e:
-        raise _CliError(str(e))
+        raise ValueError(str(e))
     except UnicodeDecodeError as e:
-        raise _CliError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})")
+        raise ValueError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})")
     except GraphFormatError as e:
-        raise _CliError(f"{path}: {e}")
+        raise ValueError(f"{path}: {e}")
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -205,7 +201,7 @@ def _cmd_reduce(args) -> int:
             with open(args.output, "w", encoding="utf-8") as f:
                 f.write(text)
         except OSError as e:
-            raise _CliError(str(e))
+            raise ValueError(str(e))
         text = f"wrote {gg.graph.n} vertices, {gg.graph.m} edges to {args.output}\n"
     payload = {
         "answer": "ok",
@@ -312,7 +308,7 @@ def run(argv=None) -> int:
         return EXIT_ERROR if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (_CliError, ValueError) as e:  # ValueError covers GraphFormatError and every library precondition
+    except ValueError as e:  # a file fault, a GraphFormatError or a library precondition
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -260,8 +260,15 @@ def parse_graph(text: str) -> Graph:
 
 
 def _read_edge_lines(text: str) -> Graph:
-    """The graph of an edge list in any layout, read a line at a time; each fault at its line."""
-    return _read_records(text, Graph, _new_edge_record())
+    """The graph of an edge list in any layout, read a line at a time; each fault at its line.
+
+    The records go straight into Graph, whose own check refuses a repeat. Only a
+    refused text is read again, with `_new_edge_record`, to name its first fault's line.
+    """
+    try:
+        return _read_records(text, Graph)
+    except GraphFormatError:
+        return _read_records(text, Graph, _new_edge_record())
 
 
 def is_connected(g: Graph) -> bool:

@@ -216,13 +216,11 @@ def hypergraph_k_colorable(
     Valid colorings are closed under color permutation, so the search walks
     restricted growth strings only: the lexicographically smallest coloring is
     one of them, and a valid partition into j blocks stands for k!/(k-j)!
-    colorings in the count. Decision and witness modes both return that
-    smallest coloring. `nodes` counts candidate colors, and the budget bounds
-    it.
+    colorings in the count. As in the k-role engine, a vertex opens a new color
+    where surjectivity forces it. Decision and witness modes both return that
+    smallest coloring. `nodes` counts candidate colors, and the budget bounds it.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    _check_search_args(mode, budget)
+    _check_search_args(k, mode, budget)
     n = h.n
     if require_surjective and k > n:
         return SolveResult(status=NO, count=0 if mode == COUNT else None)
@@ -232,7 +230,7 @@ def hypergraph_k_colorable(
         closing[last].append(tuple(q for q in e if q != last))
     color = [0] * n
     used = [0] * (n + 1)  # number of distinct colors before each level
-    top = [0] * (n + 1)  # highest color to try at each level; 0 at a dead end and at the leaf
+    top = [0] * (n + 1)  # highest color to try at each level; 0 at the leaf
     nodes = count = 0
     found = None
     v = c = 0
@@ -241,18 +239,16 @@ def hypergraph_k_colorable(
         if fresh:
             fresh = False
             c = 0
-            if v == n:
-                j = used[n]
-                if not require_surjective or j == k:
-                    if mode == COUNT:
-                        count += perm(k, j)
-                    else:
-                        found = RoleColoring(tuple(color), k)
-                        break
-            elif require_surjective and k - used[v] > n - v:
-                top[v] = 0
+            if v == n:  # with surjectivity, the forced new colors below leave used[n] == k
+                if mode == COUNT:
+                    count += perm(k, used[n])
+                else:
+                    found = RoleColoring(tuple(color), k)
+                    break
             else:
                 top[v] = min(used[v] + 1, k)
+                if require_surjective and k - used[v] == n - v:
+                    c = used[v]  # every vertex left must open a new color: try only used[v] + 1
         while c < top[v]:
             c += 1
             nodes += 1

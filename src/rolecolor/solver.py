@@ -468,15 +468,17 @@ def _race(engines: list[_Engine], make_rival: Callable[[], _Engine], budget: int
                 return BUDGET_EXCEEDED if next(ids, 0) else s.answer()
 
 
-def _check_search_args(mode: str, budget: int) -> None:
-    """ValueError unless mode is known and budget >= 0."""
+def _check_search_args(k: int, mode: str, budget: int) -> None:
+    """ValueError unless k >= 1, mode is known and budget >= 0."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if mode not in (DECISION, WITNESS, COUNT):
         raise ValueError(f"unknown mode {mode!r}")
     if budget < 0:
         raise ValueError("budget must be >= 0")
 
 
-def _solve(g: Graph, k: int, r: RoleGraph | None, mode: str, budget: int, cert_modes: tuple) -> SolveResult:
+def _solve(g: Graph, k: int, r: RoleGraph | None, mode: str, budget: int) -> SolveResult:
     # a search that returns no certificate (k-role decision and count, R-role
     # count) runs in closing order, which changes only its node count: restricted
     # growth in any vertex order lists each partition once. Witnesses follow
@@ -484,7 +486,7 @@ def _solve(g: Graph, k: int, r: RoleGraph | None, mode: str, budget: int, cert_m
     # (k-role witness, R-role decision and witness) races a closing-order
     # decision (_race), since a "no" carries no certificate; nodes,
     # leaves_rejected and the budget then count both engines.
-    closing = mode not in cert_modes
+    closing = mode == COUNT or (mode == DECISION and r is None)
     name = "closing" if closing else "id"
     # k colors need k vertices: answer before any per-color state is built; this is
     # not a search, so it answers at any budget
@@ -515,10 +517,8 @@ def solve_k_role(g: Graph, k: int, mode: str = DECISION, budget: int = DEFAULT_B
     Witnesses are the lexicographically smallest restricted-growth coloring;
     counts are up to color permutation.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    _check_search_args(mode, budget)
-    return _solve(g, k, None, mode, budget, (WITNESS,))
+    _check_search_args(k, mode, budget)
+    return _solve(g, k, None, mode, budget)
 
 
 def solve_r_role(g: Graph, r: RoleGraph, mode: str = DECISION, budget: int = DEFAULT_BUDGET) -> SolveResult:
@@ -528,5 +528,5 @@ def solve_r_role(g: Graph, r: RoleGraph, mode: str = DECISION, budget: int = DEF
     """
     if r.colors < 1:
         raise ValueError("role graph must have at least one color")
-    _check_search_args(mode, budget)
-    return _solve(g, r.colors, r, mode, budget, (WITNESS, DECISION))
+    _check_search_args(r.colors, mode, budget)
+    return _solve(g, r.colors, r, mode, budget)

@@ -268,9 +268,7 @@ def naive_hypergraph_k_colorable(
     on surjective colorings); pass require_surjective=False for the textbook
     definition.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    _check_search_args(mode, budget)
+    _check_search_args(k, mode, budget)
     nodes = 0
     count = 0
     found = None

@@ -45,6 +45,10 @@ class TestGraphBasics:
         with pytest.raises(ValueError, match="out of range"):
             Graph(2, [(0, 2)])
 
+    def test_rejects_negative_vertex_count(self):
+        with pytest.raises(ValueError, match="vertex count must be non-negative"):
+            Graph(-1)
+
     def test_rejects_duplicate_edge(self):
         with pytest.raises(ValueError, match="duplicate"):
             Graph(3, [(0, 1), (1, 0)])

@@ -46,6 +46,10 @@ class TestHypergraph:
         h = single_edge_hg()
         assert h.is_uniform(3) and not h.is_uniform(2)
 
+    def test_rejects_negative_vertex_count(self):
+        with pytest.raises(ValueError, match="vertex count must be non-negative"):
+            Hypergraph(-1, [])
+
     def test_connectivity(self):
         assert hypergraph_connected(single_edge_hg())
         assert not hypergraph_connected(Hypergraph(4, [{0, 1, 2}]))  # vertex 3 uncovered
@@ -167,10 +171,15 @@ class TestHypergraphSearchVsProductScan:
                         assert got == want, (h.n, h.edges, k, surjective, mode)
 
     def test_budget_counts_candidate_colors(self):
-        # one hyperedge on three vertices, k = 2: 1, 1, then 1 is rejected at vertex 2
+        # one hyperedge on three vertices, k = 2: 1, 1, then vertex 2 must open color 2
         res = hypergraph_k_colorable(single_edge_hg(), 2, mode="witness")
-        assert res.nodes == 4
-        assert hypergraph_k_colorable(single_edge_hg(), 2, budget=3).status == "budget-exceeded"
+        assert res.nodes == 3
+        assert hypergraph_k_colorable(single_edge_hg(), 2, budget=2).status == "budget-exceeded"
+
+    def test_opens_a_color_per_vertex_when_surjectivity_forces_it(self):
+        # k = n: each vertex opens a new color, one node per vertex, as P_n does at k = n
+        res = hypergraph_k_colorable(single_edge_hg(), 3, mode="witness")
+        assert (res.certificate.assignment, res.nodes) == ((1, 2, 3), 3)
 
     def test_huge_k(self):
         k = 10**6

@@ -71,6 +71,10 @@ class TestRoleGraph:
         with pytest.raises(ValueError, match="out of range"):
             RoleGraph(2, [(1, 3)])
 
+    def test_rejects_negative_color_count(self):
+        with pytest.raises(ValueError, match="color count must be non-negative"):
+            RoleGraph(-1)
+
     def test_out_of_range_edge_is_named_low_end_first(self):
         # the role-graph reader hands pairs over as written; messages keep the (low,high) form
         with pytest.raises(ValueError, match=r"role edge \(1,4\) out of range \[1,3\]"):
@@ -145,6 +149,10 @@ class TestExtractRoleGraph:
         r = extract_role_graph(triangle, RoleColoring((1, 1, 2), 2))
         assert (1, 1) in r.edges and (1, 2) in r.edges
 
+    def test_length_mismatch_raises(self, p4):
+        with pytest.raises(ValueError, match="coloring covers 2 vertices, graph has 4"):
+            extract_role_graph(p4, RoleColoring((1, 2), 2))
+
     def test_any_coloring_gives_the_edge_image(self):
         # one role edge per graph edge's color pair, whatever the coloring;
         # vertices of one color may see different color sets here
@@ -185,6 +193,15 @@ class TestVerifyRRole:
         assert bad is not None and bad.kind == "LocalSurjectivityFailure"
         v, sv, sr = bad.witness
         assert v == 0 and sv == frozenset({2}) and sr == frozenset({1, 2})
+        assert bad.describe() == "vertex 0 sees color set [2] but its role's neighborhood is [1, 2]"
+
+    def test_not_surjective(self, c4):
+        bad = verify_r_role(c4, RoleGraph(2, [(1, 1)]), RoleColoring((1, 1, 1, 1), 2))
+        assert bad is not None and (bad.kind, bad.witness) == ("NotSurjective", (2,))
+
+    def test_length_mismatch_raises(self, c4):
+        with pytest.raises(ValueError, match="coloring covers 2 vertices, graph has 4"):
+            verify_r_role(c4, RoleGraph(2, [(1, 2)]), RoleColoring((1, 2), 2))
 
     def test_c4_onto_edge(self, c4):
         r = RoleGraph(2, [(1, 2)])
